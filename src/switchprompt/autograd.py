@@ -4,7 +4,13 @@ A :class:`Tensor` wraps a numpy array plus an optional gradient buffer. Every
 operation records its inputs and a vector-Jacobian product on the output, so
 the tape is rebuilt on every forward pass (define-by-run). :func:`backward`
 walks the recorded graph in reverse topological order and accumulates
-gradients into every tensor that has ``requires_grad`` set.
+gradients into the leaf tensors (those with ``requires_grad`` set and no
+recorded parents).
+
+Ops take an optional leading batch axis: ``matmul`` broadcasts stacked
+operands, ``softmax_rows`` normalizes the last axis under an optional
+additive mask, ``permute``/``transpose`` reorder axes and ``embedding``
+gathers a ``(B, T)`` id array.
 
 All math runs in double precision. Dropout randomness is drawn from
 counter-based streams (:class:`DropoutRng`) keyed on (seed, step, call index),
@@ -28,6 +34,7 @@ __all__ = [
     "scale",
     "matmul",
     "transpose",
+    "permute",
     "reshape",
     "concat",
     "slice_rows",
@@ -174,18 +181,52 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _record(a.data * s, (a,), lambda g: (g * s,))
 
 
+def _swap_last(x: np.ndarray) -> np.ndarray:
+    return np.swapaxes(x, -1, -2)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """2-D matrix product; inner dimensions must agree."""
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
+    """Matrix product over the last two axes, broadcasting any leading axes.
+
+    A 2-D right operand (a weight) gets its gradient from one GEMM over the
+    flattened leading axes of `a`. Gradients are only formed for operands
+    that require them, so a frozen weight costs no backward arithmetic.
+    """
+    if a.data.ndim < 2 or b.data.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    data = a.data @ b.data
-    return _record(data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g))
+    try:
+        data = a.data @ b.data
+    except ValueError:
+        raise ValueError(f"matmul shape mismatch: {a.shape} @ {b.shape}") from None
+
+    def vjp(g):
+        ga = gb = None
+        if a.requires_grad:
+            ga = _unbroadcast(g @ _swap_last(b.data), a.shape)
+        if b.requires_grad:
+            if b.data.ndim == 2:
+                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            else:
+                gb = _unbroadcast(_swap_last(a.data) @ g, b.shape)
+        return ga, gb
+
+    return _record(data, (a, b), vjp)
 
 
 def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError(f"transpose expects a 2-D tensor, got shape {a.shape}")
-    return _record(a.data.T.copy(), (a,), lambda g: (g.T,))
+    """Swap the last two axes (the matrix transpose of every stacked matrix)."""
+    if a.data.ndim < 2:
+        raise ValueError(f"transpose expects at least 2 axes, got shape {a.shape}")
+    return _record(_swap_last(a.data), (a,), lambda g: (_swap_last(g),))
+
+
+def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
+    """Reorder axes as numpy's transpose(axes); used to split attention heads."""
+    axes = tuple(axes)
+    if sorted(axes) != list(range(a.data.ndim)):
+        raise ValueError(f"permute axes {axes} do not match shape {a.shape}")
+    inverse = tuple(np.argsort(axes))
+    return _record(np.transpose(a.data, axes), (a,), lambda g: (np.transpose(g, inverse),))
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -262,7 +303,9 @@ def relu(x: Tensor) -> Tensor:
 def gelu(x: Tensor) -> Tensor:
     """Exact (erf-based) gaussian error linear unit."""
     d = x.data
-    cdf = 0.5 * (1.0 + erf(d * _INV_SQRT2))
+    cdf = erf(d * _INV_SQRT2)
+    cdf += 1.0
+    cdf *= 0.5
     data = d * cdf
 
     def vjp(g):
@@ -272,16 +315,26 @@ def gelu(x: Tensor) -> Tensor:
     return _record(data, (x,), vjp)
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax of a 2-D tensor; each output row sums to 1."""
-    if x.data.ndim != 2:
-        raise ValueError(f"softmax_rows expects a 2-D tensor, got shape {x.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+def softmax_rows(x: Tensor, mask: np.ndarray | None = None) -> Tensor:
+    """Softmax over the last axis; each output row sums to 1.
+
+    `mask` is an additive constant broadcast against `x`, 0 where an entry
+    takes part and -inf where it does not. It is added before the max-shift,
+    so masked entries get exactly 0 probability and 0 gradient. Every row
+    needs at least one unmasked entry.
+    """
+    if x.data.ndim < 1:
+        raise ValueError("softmax_rows expects at least one axis")
+    if mask is None:
+        y = x.data - x.data.max(axis=-1, keepdims=True)
+    else:
+        y = x.data + mask
+        y -= y.max(axis=-1, keepdims=True)
+    np.exp(y, out=y)
+    y /= y.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        inner = (g * y).sum(axis=1, keepdims=True)
+        inner = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - inner),)
 
     return _record(y, (x,), vjp)
@@ -295,8 +348,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     centered = d - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv_std
-    data = xhat * gain.data + bias.data
+    xhat = centered
+    xhat *= inv_std
+    data = xhat * gain.data
+    data += bias.data
 
     def vjp(g):
         dxhat = g * gain.data
@@ -306,6 +361,8 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             / n
             * (n * dxhat - dxhat.sum(axis=-1, keepdims=True) - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True))
         )
+        if not (gain.requires_grad or bias.requires_grad):
+            return (dx, None, None)
         axes = tuple(range(d.ndim - 1))
         dgain = (g * xhat).sum(axis=axes) if axes else g * xhat
         dbias = g.sum(axis=axes) if axes else g.copy()
@@ -320,10 +377,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def embedding(weight: Tensor, ids) -> Tensor:
-    """Gather rows of `weight`; the backward rule scatter-adds into the table."""
+    """Gather rows of `weight` for a (T,) or (B, T) id array.
+
+    The backward rule scatter-adds into the table.
+    """
     ids = np.asarray(ids, dtype=np.int64)
-    if ids.ndim != 1:
-        raise ValueError(f"embedding expects a 1-D id sequence, got shape {ids.shape}")
+    if ids.ndim not in (1, 2):
+        raise ValueError(f"embedding expects a (T,) or (B, T) id array, got shape {ids.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= weight.shape[0]):
         raise ValueError(
             f"embedding id out of range: ids span [{ids.min()}, {ids.max()}] "
@@ -358,13 +418,52 @@ class DropoutRng:
         self.calls = 0
 
     def mask(self, shape: tuple[int, ...], rate: float) -> np.ndarray:
-        keep = 1.0 - rate
-        rng = np.random.default_rng((self.seed, self.step, self.calls))
         self.calls += 1
+        return self._draw(self.calls - 1, shape, rate)
+
+    def _draw(self, call: int, shape: tuple[int, ...], rate: float) -> np.ndarray:
+        keep = 1.0 - rate
+        rng = np.random.default_rng((self.seed, self.step, call))
         return (rng.random(shape) < keep).astype(np.float64) / keep
 
+    def per_example(self, lengths: Sequence[int], sites: int) -> "ExampleStreams":
+        """Reserve `sites` calls for each example of a padded (B, T, ...) batch.
 
-def dropout(x: Tensor, rate: float, rng: DropoutRng | None = None, train: bool = False) -> Tensor:
+        Example b's mask at its s-th dropout site is the call
+        ``first + b * sites + s`` of this stream, drawn at its unpadded shape
+        ``(lengths[b], ...)``. So a batch draws exactly the masks that B
+        one-example passes in a row would, and calls made after it (the
+        classification head's) keep their counters.
+        """
+        first = self.calls
+        self.calls += len(lengths) * sites
+        return ExampleStreams(self, first, lengths, sites)
+
+
+class ExampleStreams:
+    """Dropout masks for a padded batch, one counter-keyed stream per example."""
+
+    def __init__(self, parent: DropoutRng, first: int, lengths: Sequence[int], sites: int):
+        self.parent = parent
+        self.first = first
+        self.lengths = [int(n) for n in lengths]
+        self.sites = sites
+        self.site = 0
+
+    def mask(self, shape: tuple[int, ...], rate: float) -> np.ndarray:
+        if self.site >= self.sites:
+            raise RuntimeError(f"more than the {self.sites} reserved dropout sites were used")
+        out = np.zeros(shape)
+        for b, n in enumerate(self.lengths):
+            call = self.first + b * self.sites + self.site
+            out[b, :n] = self.parent._draw(call, (n,) + tuple(shape[2:]), rate)
+        self.site += 1
+        return out
+
+
+def dropout(
+    x: Tensor, rate: float, rng: "DropoutRng | ExampleStreams | None" = None, train: bool = False
+) -> Tensor:
     """Inverted-scaling dropout; the identity (same object) in eval mode."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
@@ -458,27 +557,31 @@ def _toposort(root: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate dLoss/dT into `.grad` of every requires_grad tensor.
+    """Accumulate dLoss/dT into `.grad` of every leaf that requires grad.
 
-    The flow of gradients is computed in a scratch map and only added into
-    `.grad` at the end, so calling backward twice on the same graph without
-    zeroing doubles every gradient exactly.
+    Leaves are tensors with no recorded parents (parameters and inputs);
+    interior nodes keep ``grad is None``. The flow of gradients lives in a
+    scratch map, and a node's entry is dropped as soon as its vjp has run,
+    so at most one frontier of interior gradients is alive at a time. Each
+    leaf's entry is complete when the reverse walk reaches it and is added
+    into `.grad` then, so calling backward twice on the same graph without
+    zeroing doubles every leaf gradient exactly.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward requires a scalar loss, got shape {loss.shape}")
     order = _toposort(loss)
     flow: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(order):
-        g = flow.get(id(node))
-        if g is None or node._vjp is None:
+        g = flow.pop(id(node), None)
+        if g is None:
+            continue
+        if node._vjp is None:
+            if node.requires_grad:
+                node.grad = g if node.grad is None else node.grad + g
             continue
         for parent, pg in zip(node._parents, node._vjp(g)):
-            if pg is None or not (parent.requires_grad or parent._vjp is not None):
+            if pg is None or not parent.requires_grad:
                 continue
             pid = id(parent)
             held = flow.get(pid)
             flow[pid] = pg if held is None else held + pg
-    for node in order:
-        if node.requires_grad and id(node) in flow:
-            g = flow[id(node)]
-            node.grad = g if node.grad is None else node.grad + g

@@ -9,19 +9,26 @@ projections, so each token attends over the prompt slots plus the tokens.
 Queries come from token positions only, and prompt rows receive no position
 embedding.
 
-Exact per-layer computation (post-norm, as used by the reference oracle in
-the tests):
+The encoder runs a padded batch: ``(B, T)`` ids with per-example lengths,
+and one prompt per layer, either shared ``(l, e)`` or per-example
+``(B, l, e)``. Exact per-layer computation (post-norm, as used by the
+reference oracle in the tests), with H heads of width d = e / H:
 
-    q = h Wq + bq                       k_tok = h Wk + bk,  v_tok = h Wv + bv
-    k = [prompt; k_tok]                 v = [prompt; v_tok]
-    per head:  probs = row_softmax(q_h k_hᵀ / sqrt(d)),  out_h = probs v_h
-    attn = concat(out_h) Wo + bo
+    q = (h Wq + bq) / sqrt(d)           k_tok = h Wk + bk,  v_tok = h Wv + bv
+    k = [prompt; k_tok]                 v = [prompt; v_tok]     (B, l+T, e)
+    q, k, v split into heads by reshape: (B, H, T, d) and (B, H, l+T, d)
+    probs = softmax_rows(q kᵀ + mask)   (B, H, T, l+T)
+    attn = merge_heads(probs v) Wo + bo (B, T, e)
     h = layer_norm(h + dropout(attn))
     f = act(h W1 + b1) W2 + b2
     h = layer_norm(h + dropout(f))
 
 with h0 = dropout(token_emb[ids] + pos_emb[:T]) and a final layer norm after
-the last block. The CLS vector is row 0 of the final states.
+the last block. The key-padding mask has shape (B, 1, 1, l+T): 0 on the l
+prompt slots and the first lengths[b] token slots of example b, -inf on its
+padding, so a padded row attends exactly as the unpadded sequence would.
+Rows past an example's length carry finite values that no real row reads.
+The CLS vector is token row 0 of the final states.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import autograd as ag
-from .autograd import DropoutRng, Tensor
+from .autograd import DropoutRng, ExampleStreams, Tensor
 from .tokenizer import CLS_ID, MASK_ID
 
 INIT_STD = 0.02
@@ -149,10 +156,15 @@ class EncoderWeights:
         return sum(t.size for t in self.tensors.values())
 
 
-def attention_probs(q: Tensor, k: Tensor, head_dim: int) -> Tensor:
-    """Scaled dot-product attention weights; every row sums to one."""
-    scores = ag.scale(ag.matmul(q, ag.transpose(k)), 1.0 / math.sqrt(head_dim))
-    return ag.softmax_rows(scores)
+def pad_batch(sequences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Right-pad id sequences into a (B, T) array (pad id 0) plus their lengths."""
+    if not sequences:
+        raise ValueError("cannot pad an empty batch")
+    lengths = np.array([len(s) for s in sequences], dtype=np.int64)
+    ids = np.zeros((len(sequences), int(lengths.max())), dtype=np.int64)
+    for row, seq in zip(ids, sequences):
+        row[: len(seq)] = seq
+    return ids, lengths
 
 
 class TransformerEncoder:
@@ -165,89 +177,152 @@ class TransformerEncoder:
     # -- public entry points -------------------------------------------------
 
     def encode_plain(
-        self, token_ids: Sequence[int], train: bool = False, rng: DropoutRng | None = None
+        self,
+        token_ids: Sequence[int] | np.ndarray,
+        train: bool = False,
+        rng: DropoutRng | None = None,
+        lengths: Sequence[int] | None = None,
     ) -> tuple[Tensor, Tensor]:
-        """Forward pass without prompts; returns (cls_vector, all final states)."""
-        states = self._forward(token_ids, None, train, rng)
+        """Forward pass without prompts; returns (CLS vectors, all final states).
+
+        A 1-D id list is one sequence: the results are (e,) and (T, e). A
+        (B, T) id array with `lengths` (default: all T) gives (B, e) and
+        (B, T, e).
+        """
+        ids, lengths, single = self._check_ids(token_ids, lengths, 0)
+        states = self._forward(ids, lengths, None, train, rng)
+        if single:
+            states = ag.reshape(states, states.shape[1:])
+            return ag.reshape(ag.slice_rows(states, 0, 1), (self.config.embed_dim,)), states
         return self._cls(states), states
 
     def encode_prompted(
         self,
-        token_ids: Sequence[int],
+        token_ids: Sequence[int] | np.ndarray,
         layer_prompts: Sequence[Tensor],
         train: bool = False,
         rng: DropoutRng | None = None,
+        lengths: Sequence[int] | None = None,
     ) -> Tensor:
-        """Forward pass with one key/value prompt matrix per layer; returns CLS."""
+        """Forward pass with one key/value prompt per layer; returns CLS.
+
+        Each prompt is (l, e), shared by the batch, or (B, l, e). Ids and
+        lengths are as for :meth:`encode_plain`; the result is (e,) for a
+        1-D id list and (B, e) otherwise.
+        """
         if len(layer_prompts) != self.config.num_layers:
             raise ValueError(
                 f"expected {self.config.num_layers} layer prompts, got {len(layer_prompts)}"
             )
         e = self.config.embed_dim
         for i, p in enumerate(layer_prompts):
-            if len(p.shape) != 2 or p.shape[1] != e:
-                raise ValueError(f"layer {i} prompt has shape {p.shape}, expected (l, {e})")
-        lengths = {p.shape[0] for p in layer_prompts}
-        if len(lengths) != 1:
-            raise ValueError(f"layer prompts disagree on length: {sorted(lengths)}")
-        states = self._forward(token_ids, list(layer_prompts), train, rng)
-        return self._cls(states)
+            if len(p.shape) not in (2, 3) or p.shape[-1] != e:
+                raise ValueError(f"layer {i} prompt has shape {p.shape}, expected (l, {e}) or (B, l, {e})")
+        prompt_lens = {p.shape[-2] for p in layer_prompts}
+        if len(prompt_lens) != 1:
+            raise ValueError(f"layer prompts disagree on length: {sorted(prompt_lens)}")
+        ids, lengths, single = self._check_ids(token_ids, lengths, prompt_lens.pop())
+        batch = ids.shape[0]
+        prompts = []
+        for i, p in enumerate(layer_prompts):
+            if len(p.shape) == 3 and p.shape[0] != batch:
+                raise ValueError(f"layer {i} prompt has batch {p.shape[0]}, ids have {batch}")
+            if len(p.shape) == 2:
+                # broadcast a shared prompt over the batch; its gradient sums back
+                p = ag.mul(p, Tensor(np.ones((batch, 1, 1))))
+            prompts.append(p)
+        cls = self._cls(self._forward(ids, lengths, prompts, train, rng))
+        return ag.reshape(cls, (e,)) if single else cls
 
     # -- internals -----------------------------------------------------------
 
+    def _check_ids(self, token_ids, lengths, prompt_len: int):
+        """Validated (B, T) ids trimmed to the longest length, lengths, and B = 1 flag."""
+        cfg = self.config
+        ids = np.asarray(token_ids, dtype=np.int64)
+        single = ids.ndim == 1
+        if single:
+            ids = ids[None, :]
+        if ids.ndim != 2 or ids.size == 0:
+            raise ValueError("token ids must be a non-empty 1-D id list or a (B, T) id array")
+        batch, width = ids.shape
+        lengths = np.full(batch, width) if lengths is None else np.asarray(lengths, dtype=np.int64)
+        if lengths.shape != (batch,) or lengths.min() < 1 or lengths.max() > width:
+            raise ValueError(f"lengths must be {batch} values in [1, {width}], got {lengths.tolist()}")
+        width = int(lengths.max())
+        ids = ids[:, :width]
+        valid = np.arange(width) < lengths[:, None]
+        if (ids[:, 0] != CLS_ID).any():
+            b = int(np.argmax(ids[:, 0] != CLS_ID))
+            raise ValueError(f"sequence must start with the CLS id ({CLS_ID}), got {ids[b, 0]}")
+        bad = ids[valid & ((ids < 0) | (ids >= cfg.vocab_size))]
+        if bad.size:
+            raise ValueError(f"unknown token id {bad[0]} for vocabulary of size {cfg.vocab_size}")
+        if width + prompt_len > cfg.max_seq_len:
+            raise ValueError(
+                f"sequence too long: {width} tokens + {prompt_len} prompt slots "
+                f"exceed max_seq_len {cfg.max_seq_len}"
+            )
+        if not valid.all():
+            ids = np.where(valid, ids, CLS_ID)
+        return ids, lengths, single
+
     def _cls(self, states: Tensor) -> Tensor:
-        return ag.reshape(ag.slice_rows(states, 0, 1), (self.config.embed_dim,))
+        return ag.reshape(ag.slice_cols(states, 0, 1), (states.shape[0], self.config.embed_dim))
 
     def _forward(
         self,
-        token_ids: Sequence[int],
+        ids: np.ndarray,
+        lengths: np.ndarray,
         layer_prompts: list[Tensor] | None,
         train: bool,
         rng: DropoutRng | None,
     ) -> Tensor:
-        ids = np.asarray(token_ids, dtype=np.int64)
         cfg, w = self.config, self.weights
-        if ids.ndim != 1 or ids.size == 0:
-            raise ValueError("token sequence must be a non-empty 1-D id list")
-        if ids[0] != CLS_ID:
-            raise ValueError(f"sequence must start with the CLS id ({CLS_ID}), got {ids[0]}")
-        if ids.min() < 0 or ids.max() >= cfg.vocab_size:
-            bad = ids[(ids < 0) | (ids >= cfg.vocab_size)][0]
-            raise ValueError(f"unknown token id {bad} for vocabulary of size {cfg.vocab_size}")
-        prompt_len = layer_prompts[0].shape[0] if layer_prompts else 0
-        if ids.size + prompt_len > cfg.max_seq_len:
-            raise ValueError(
-                f"sequence too long: {ids.size} tokens + {prompt_len} prompt slots "
-                f"exceed max_seq_len {cfg.max_seq_len}"
-            )
+        width = ids.shape[1]
+        prompt_len = layer_prompts[0].shape[1] if layer_prompts else 0
+        mask = None
+        if lengths.min() < width:
+            slots = np.arange(prompt_len + width) < prompt_len + lengths[:, None]
+            mask = np.where(slots, 0.0, -np.inf)[:, None, None, :]
+        if train and cfg.dropout_rate > 0.0 and rng is not None:
+            # the embedding site plus two per layer, keyed per example
+            rng = rng.per_example(lengths, 1 + 2 * cfg.num_layers)
 
-        h = ag.add(ag.embedding(w["token_emb"], ids), ag.slice_rows(w["pos_emb"], 0, ids.size))
+        h = ag.add(ag.embedding(w["token_emb"], ids), ag.slice_rows(w["pos_emb"], 0, width))
         h = ag.dropout(h, cfg.dropout_rate, rng, train)
         for i in range(cfg.num_layers):
             prompt = layer_prompts[i] if layer_prompts else None
-            h = self._layer(i, h, prompt, train, rng)
+            h = self._layer(i, h, prompt, mask, train, rng)
         return ag.layer_norm(h, w["final_ln.gain"], w["final_ln.bias"])
 
     def _layer(
-        self, index: int, h: Tensor, prompt: Tensor | None, train: bool, rng: DropoutRng | None
+        self,
+        index: int,
+        h: Tensor,
+        prompt: Tensor | None,
+        mask: np.ndarray | None,
+        train: bool,
+        rng: "DropoutRng | ExampleStreams | None",
     ) -> Tensor:
         cfg, w = self.config, self.weights
         p = f"layer{index}."
-        q = ag.add(ag.matmul(h, w[p + "wq"]), w[p + "bq"])
+        batch, width, e = h.shape
+        heads, head_dim = cfg.num_heads, e // cfg.num_heads
+
+        def split_heads(x: Tensor) -> Tensor:  # (B, S, e) -> (B, H, S, d)
+            return ag.permute(ag.reshape(x, (batch, -1, heads, head_dim)), (0, 2, 1, 3))
+
+        q = ag.scale(ag.add(ag.matmul(h, w[p + "wq"]), w[p + "bq"]), 1.0 / math.sqrt(head_dim))
         k = ag.add(ag.matmul(h, w[p + "wk"]), w[p + "bk"])
         v = ag.add(ag.matmul(h, w[p + "wv"]), w[p + "bv"])
-        if prompt is not None and prompt.shape[0] > 0:
-            k = ag.concat([prompt, k], axis=0)
-            v = ag.concat([prompt, v], axis=0)
-
-        head_dim = cfg.embed_dim // cfg.num_heads
-        heads = []
-        for head in range(cfg.num_heads):
-            lo, hi = head * head_dim, (head + 1) * head_dim
-            probs = attention_probs(ag.slice_cols(q, lo, hi), ag.slice_cols(k, lo, hi), head_dim)
-            heads.append(ag.matmul(probs, ag.slice_cols(v, lo, hi)))
-        attn = heads[0] if len(heads) == 1 else ag.concat(heads, axis=1)
-        attn = ag.add(ag.matmul(attn, w[p + "wo"]), w[p + "bo"])
+        if prompt is not None and prompt.shape[1] > 0:
+            k = ag.concat([prompt, k], axis=1)
+            v = ag.concat([prompt, v], axis=1)
+        scores = ag.matmul(split_heads(q), ag.transpose(split_heads(k)))
+        probs = ag.softmax_rows(scores, mask)
+        attn = ag.permute(ag.matmul(probs, split_heads(v)), (0, 2, 1, 3))
+        attn = ag.add(ag.matmul(ag.reshape(attn, (batch, width, e)), w[p + "wo"]), w[p + "bo"])
         attn = ag.dropout(attn, cfg.dropout_rate, rng, train)
         h = ag.layer_norm(ag.add(h, attn), w[p + "ln1_gain"], w[p + "ln1_bias"])
 

@@ -245,6 +245,52 @@ def _trial_softmax_cross_entropy(rng):
     return lambda t: ag.softmax_cross_entropy(t[0], labels), [logits]
 
 
+def _trial_matmul_batched(rng):
+    # stacked operands: batched by batched (a size-1 axis of `b` broadcasts)
+    # or batched by a 2-D weight
+    lead = tuple(int(d) for d in rng.integers(1, 3, size=rng.integers(1, 3)))
+    p, q, r = rng.integers(1, 4, size=3)
+    a = _rand(rng, *lead, p, q)
+    if rng.random() < 0.5:
+        b = _rand(rng, q, r)
+    else:
+        b = _rand(rng, *(d if rng.random() < 0.7 else 1 for d in lead), q, r)
+    w = _rand(rng, *lead, p, r)
+    return lambda t: _weighted_sum(ag.matmul(t[0], t[1]), w), [a, b]
+
+
+def _trial_permute(rng):
+    a = _rand(rng, *rng.integers(1, 4, size=rng.integers(3, 5)))
+    axes = tuple(int(i) for i in rng.permutation(a.ndim))
+    w = _rand(rng, *(a.shape[i] for i in axes))
+    return lambda t: _weighted_sum(ag.permute(t[0], axes), w), [a]
+
+
+def _trial_transpose_nd(rng):
+    a = _rand(rng, *rng.integers(1, 4, size=rng.integers(3, 5)))
+    w = _rand(rng, *np.swapaxes(a, -1, -2).shape)
+    return lambda t: _weighted_sum(ag.transpose(t[0]), w), [a]
+
+
+def _trial_softmax_masked(rng):
+    # (B, H, T, S) scores under a key-padding mask that keeps >= 1 slot per row;
+    # masked slots must get zero gradient, which the numeric side sees as well
+    batch, heads, rows, slots = rng.integers(1, 3), rng.integers(1, 3), rng.integers(1, 4), rng.integers(2, 5)
+    keep = rng.integers(1, slots + 1, size=batch)
+    mask = np.where(np.arange(slots) < keep[:, None], 0.0, -np.inf)[:, None, None, :]
+    a = _rand(rng, batch, heads, rows, slots)
+    w = _rand(rng, *a.shape)
+    return lambda t: _weighted_sum(ag.softmax_rows(t[0], mask), w), [a]
+
+
+def _trial_embedding_2d(rng):
+    vocab, dim = rng.integers(3, 8), rng.integers(2, 5)
+    table = _rand(rng, vocab, dim)
+    ids = rng.integers(0, vocab, size=(rng.integers(1, 4), rng.integers(1, 5)))
+    w = _rand(rng, *ids.shape, dim)
+    return lambda t: _weighted_sum(ag.embedding(t[0], ids), w), [table]
+
+
 OP_TRIALS: dict[str, Callable] = {
     "add": _trial_add,
     "mul": _trial_mul,
@@ -266,6 +312,11 @@ OP_TRIALS: dict[str, Callable] = {
     "sum_axis": _trial_sum_axis,
     "mean_axis": _trial_mean_axis,
     "softmax_cross_entropy": _trial_softmax_cross_entropy,
+    "matmul_batched": _trial_matmul_batched,
+    "permute": _trial_permute,
+    "transpose_nd": _trial_transpose_nd,
+    "softmax_masked": _trial_softmax_masked,
+    "embedding_2d": _trial_embedding_2d,
 }
 
 

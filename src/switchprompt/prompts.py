@@ -9,6 +9,9 @@ vectors with a domain prompt built from the keyword vectors:
 Both gates are sigmoids of a trained weight vector dotted with the CLS
 representation of the input sentence, so the prompt handed to the encoder
 depends on the input even though the keyword vectors themselves are fixed.
+For a batch of B representations ``(B, e)`` the gates have shape
+``(B, 1, 1)`` and broadcast the composition to one ``(B, l, e)`` prompt
+per layer.
 The restricted variants remove pieces of this formula (no second gate, fixed
 concatenation order, keywords alone, soft prompts alone).
 """
@@ -184,10 +187,17 @@ def pad_prompt(prompt: Tensor, length: int) -> Tensor:
 
 
 def gate(weights: Tensor, sentence_repr: Tensor) -> Tensor:
-    """Scalar sigmoid(weights . sentence_repr) in (0, 1)."""
-    if weights.shape != sentence_repr.shape or len(weights.shape) != 1:
+    """sigmoid(weights . s) in (0, 1): a scalar for an (e,) input, (B, 1, 1) for (B, e)."""
+    if (
+        len(weights.shape) != 1
+        or len(sentence_repr.shape) not in (1, 2)
+        or sentence_repr.shape[-1] != weights.shape[0]
+    ):
         raise ValueError(f"gate dimension mismatch: weights {weights.shape} vs input {sentence_repr.shape}")
-    return ag.sigmoid(ag.sum_all(ag.mul(weights, sentence_repr)))
+    logit = ag.sum_axis(ag.mul(sentence_repr, weights), -1)
+    if len(sentence_repr.shape) == 2:
+        logit = ag.reshape(logit, (-1, 1, 1))
+    return ag.sigmoid(logit)
 
 
 def compose_domain_prompt(soft: Tensor, keywords: Tensor, gate2: Tensor) -> Tensor:
@@ -205,7 +215,7 @@ def _convex_mix(g: Tensor, a: Tensor, b: Tensor) -> Tensor:
 
 
 def compute_gates(state: PromptState, sentence_repr: Tensor) -> tuple[Tensor | None, Tensor | None]:
-    """The (g1, g2) pair for one input; shared by every layer's composition."""
+    """The (g1, g2) pair for an input or a batch; shared by every layer's composition."""
     g1 = gate(state.gate1_weights, sentence_repr) if state.gate1_weights is not None else None
     g2 = gate(state.gate2_weights, sentence_repr) if state.gate2_weights is not None else None
     return g1, g2
@@ -214,7 +224,11 @@ def compute_gates(state: PromptState, sentence_repr: Tensor) -> tuple[Tensor | N
 def compose_with_gates(
     state: PromptState, g1: Tensor | None, g2: Tensor | None, layer: int
 ) -> Tensor:
-    """Compose one layer's prompt from precomputed gate values."""
+    """Compose one layer's prompt from precomputed gate values.
+
+    Scalar gates give an (l, e) prompt and (B, 1, 1) gates a (B, l, e) one;
+    the gate-free variants return their shared (l, e) parameters.
+    """
     variant = state.variant
     if variant is Variant.KEYWORDS_ONLY:
         return state.keyword_vectors
@@ -230,7 +244,7 @@ def compose_with_gates(
         domain = ag.concat([soft, kw], axis=0)
     else:  # CONCAT_KV
         domain = ag.concat([kw, soft], axis=0)
-    padded = pad_prompt(soft, domain.shape[0])
+    padded = pad_prompt(soft, domain.shape[-2])
     return _convex_mix(g1, padded, domain)
 
 
@@ -241,7 +255,10 @@ def compose_prompt(state: PromptState, sentence_repr: Tensor, layer: int = 0) ->
 
 
 def per_layer_prompts(state: PromptState, sentence_repr: Tensor, num_layers: int) -> list[Tensor]:
-    """One composed prompt per layer; gate values are computed once and shared."""
+    """One composed prompt per layer; gate values are computed once and shared.
+
+    `sentence_repr` is one (e,) representation or a (B, e) batch of them.
+    """
     if state.soft_prompts is not None and len(state.soft_prompts) != num_layers:
         raise ValueError(
             f"prompt state has {len(state.soft_prompts)} per-layer soft prompts, "

@@ -38,6 +38,7 @@ from .encoder import (
     EncoderConfig,
     EncoderWeights,
     TransformerEncoder,
+    pad_batch,
     pretrain_masked_token,
     trainable_parameter_count,
 )
@@ -158,6 +159,12 @@ class RunResult:
         return dataclasses.asdict(self)
 
 
+# padded tokens per length-sorted no-grad sub-batch: sorting keeps short texts
+# from being padded to long ones, and the cap bounds the attention and FFN
+# temporaries (larger caps were slower on short texts and raised peak memory)
+EVAL_TOKEN_BUDGET = 1024
+
+
 class PromptedClassifier:
     """A trained (or training) bundle: frozen backbone, prompts, head.
 
@@ -165,6 +172,7 @@ class PromptedClassifier:
     unprompted eval-mode pass by default and is cached per text (legal
     because the backbone is fixed). With ``gate_input="prompted"`` it comes
     from a prompted pass whose gates are pinned at 0.5, recomputed per call.
+    Every encoder pass covers the whole batch of texts.
     """
 
     def __init__(
@@ -175,7 +183,7 @@ class PromptedClassifier:
         tokenizer: Tokenizer,
         label_names: list[str],
         gate_input: str = "plain",
-        repr_cache: dict[str, Tensor] | None = None,
+        repr_cache: dict[str, np.ndarray] | None = None,
     ):
         if gate_input not in ("plain", "prompted"):
             raise ValueError(f"unknown gate_input {gate_input!r}")
@@ -186,8 +194,8 @@ class PromptedClassifier:
         self.label_names = list(label_names)
         self.label_map = {name: i for i, name in enumerate(self.label_names)}
         self.gate_input = gate_input
-        # keyed by text; only valid as long as the backbone stays fixed
-        self._repr_cache: dict[str, Tensor] = repr_cache if repr_cache is not None else {}
+        # CLS row per text; only valid as long as the backbone stays fixed
+        self._repr_cache: dict[str, np.ndarray] = repr_cache if repr_cache is not None else {}
 
     @property
     def _needs_gates(self) -> bool:
@@ -198,38 +206,44 @@ class PromptedClassifier:
         budget = self.encoder.config.max_seq_len - self.prompt_state.prompt_len
         return self.tokenizer.encode(text)[:budget]
 
-    def sentence_repr(self, text: str) -> Tensor | None:
+    def sentence_repr(self, texts: list[str], ids: np.ndarray, lengths: np.ndarray) -> Tensor | None:
+        """(B, e) CLS vectors that drive the gates, from one batched pass.
+
+        `ids` and `lengths` are the padded batch of `texts`. With a frozen
+        backbone, only the texts missing from the cache are encoded.
+        """
         if not self._needs_gates:
             return None
-        if self.gate_input == "plain":
-            if not self.encoder.weights.frozen:
-                # backbone drifts during training: no caching, keep the graph
-                cls_vec, _ = self.encoder.encode_plain(self._ids(text))
-                return cls_vec
-            cached = self._repr_cache.get(text)
-            if cached is None:
-                with ag.no_grad():
-                    cls_vec, _ = self.encoder.encode_plain(self._ids(text))
-                cached = Tensor(cls_vec.data)
-                self._repr_cache[text] = cached
-            return cached
-        # "prompted": CLS of a pass whose prompts are composed with neutral gates
-        half = Tensor(0.5)
-        prompts = [
-            compose_with_gates(self.prompt_state, half, half, layer)
-            for layer in range(self.encoder.config.num_layers)
-        ]
-        return self.encoder.encode_prompted(self._ids(text), prompts)
+        if self.gate_input == "prompted":
+            # CLS of a pass whose prompts are composed with neutral gates
+            half = Tensor(0.5)
+            prompts = [
+                compose_with_gates(self.prompt_state, half, half, layer)
+                for layer in range(self.encoder.config.num_layers)
+            ]
+            return self.encoder.encode_prompted(ids, prompts, lengths=lengths)
+        if not self.encoder.weights.frozen:
+            # backbone drifts during training: no caching, keep the graph
+            cls, _ = self.encoder.encode_plain(ids, lengths=lengths)
+            return cls
+        missing = [i for i, text in enumerate(texts) if text not in self._repr_cache]
+        if missing:
+            with ag.no_grad():
+                cls, _ = self.encoder.encode_plain(ids[missing], lengths=lengths[missing])
+            for i, row in zip(missing, cls.data):
+                self._repr_cache[texts[i]] = row
+        return Tensor(np.stack([self._repr_cache[text] for text in texts]))
 
     def logits(self, texts: list[str], train: bool = False, rng: DropoutRng | None = None) -> Tensor:
-        rows = []
-        num_layers = self.encoder.config.num_layers
-        for text in texts:
-            prompts = per_layer_prompts(self.prompt_state, self.sentence_repr(text), num_layers)
-            cls_vec = self.encoder.encode_prompted(self._ids(text), prompts, train=train, rng=rng)
-            rows.append(ag.reshape(cls_vec, (1, self.encoder.config.embed_dim)))
-        batch = rows[0] if len(rows) == 1 else ag.concat(rows, axis=0)
-        return self.head(batch, train=train, rng=rng)
+        """(B, classes) logits from one batched prompted pass, in the given order."""
+        if not texts:
+            raise ValueError("cannot classify an empty batch of texts")
+        ids, lengths = pad_batch([self._ids(text) for text in texts])
+        prompts = per_layer_prompts(
+            self.prompt_state, self.sentence_repr(texts, ids, lengths), self.encoder.config.num_layers
+        )
+        cls = self.encoder.encode_prompted(ids, prompts, train=train, rng=rng, lengths=lengths)
+        return self.head(cls, train=train, rng=rng)
 
     def predict(self, texts: list[str]) -> np.ndarray:
         with ag.no_grad():
@@ -243,17 +257,35 @@ class PromptedClassifier:
         )
 
 
-def evaluate(model: PromptedClassifier, dataset: LabeledDataset, chunk: int = 128) -> float:
+def evaluate(model: PromptedClassifier, dataset: LabeledDataset) -> float:
     """Fraction of argmax-correct predictions, dropout disabled."""
+    return _evaluate(model, dataset)[0]
+
+
+def _evaluate(model: PromptedClassifier, dataset: LabeledDataset) -> tuple[float, float]:
+    """Accuracy and mean cross-entropy over `dataset`, without a tape.
+
+    Texts are sorted by token length and classified in sub-batches of at
+    most EVAL_TOKEN_BUDGET padded tokens; results go back to dataset order.
+    """
     if not dataset.examples:
         raise ValueError("cannot evaluate on an empty dataset")
-    labels = _class_indices(model, dataset)
-    correct = 0
+    labels = np.asarray(_class_indices(model, dataset))
     texts = dataset.texts()
-    for start in range(0, len(texts), chunk):
-        predicted = model.predict(texts[start : start + chunk])
-        correct += int((predicted == np.asarray(labels[start : start + chunk])).sum())
-    return correct / len(texts)
+    lengths = np.array([len(model._ids(text)) for text in texts])
+    order = np.argsort(lengths, kind="stable")
+    logits = np.empty((len(texts), model.head.num_classes))
+    with ag.no_grad():
+        start = 0
+        while start < len(order):
+            stop = start + 1
+            while stop < len(order) and (stop + 1 - start) * lengths[order[stop]] <= EVAL_TOKEN_BUDGET:
+                stop += 1
+            chosen = order[start:stop]
+            logits[chosen] = model.logits([texts[i] for i in chosen]).data
+            start = stop
+        loss = ag.softmax_cross_entropy(Tensor(logits), labels).item()
+    return float((np.argmax(logits, axis=1) == labels).mean()), loss
 
 
 def _class_indices(model: PromptedClassifier, dataset: LabeledDataset) -> list[int]:
@@ -264,21 +296,6 @@ def _class_indices(model: PromptedClassifier, dataset: LabeledDataset) -> list[i
             f"unknown to the model ({model.label_names})"
         )
     return [model.label_map[label] for _, label in dataset.examples]
-
-
-def _evaluate_with_loss(model: PromptedClassifier, dataset: LabeledDataset, chunk: int = 128):
-    if not dataset.examples:
-        raise ValueError("cannot evaluate on an empty dataset")
-    labels = _class_indices(model, dataset)
-    texts = dataset.texts()
-    correct, loss_sum = 0, 0.0
-    with ag.no_grad():
-        for start in range(0, len(texts), chunk):
-            part_labels = labels[start : start + chunk]
-            logits = model.logits(texts[start : start + chunk])
-            correct += int((np.argmax(logits.data, axis=1) == np.asarray(part_labels)).sum())
-            loss_sum += ag.softmax_cross_entropy(logits, part_labels).item() * len(part_labels)
-    return correct / len(texts), loss_sum / len(texts)
 
 
 def _build_backbone(config: RunConfig, split: FewShotSplit, keyword_set: KeywordSet | None):
@@ -348,7 +365,7 @@ def train(
     records: list[dict] = []
     dev_accs, test_accs, best_epochs, epoch_times = [], [], [], []
     params_count = None
-    repr_cache: dict[str, Tensor] = {}
+    repr_cache: dict[str, np.ndarray] = {}
 
     for seed in config.seeds:
         if not config.freeze_backbone:
@@ -453,7 +470,7 @@ def _train_one_seed(config, split, model, opt, sched, seed, records) -> dict:
         sched.step()
         elapsed += time.perf_counter() - started
 
-        dev_acc, dev_loss = _evaluate_with_loss(model, split.dev)
+        dev_acc, dev_loss = _evaluate(model, split.dev)
         records.append(
             _record(config.variant, seed, epoch, "train", correct / len(texts), loss_sum / len(texts))
         )
@@ -463,8 +480,8 @@ def _train_one_seed(config, split, model, opt, sched, seed, records) -> dict:
 
     for p, data in zip(params, best["params"]):
         p.data = data.copy()
-    dev_acc, _ = _evaluate_with_loss(model, split.dev)
-    test_acc, test_loss = _evaluate_with_loss(model, split.test)
+    dev_acc, _ = _evaluate(model, split.dev)
+    test_acc, test_loss = _evaluate(model, split.test)
     records.append(_record(config.variant, seed, best["epoch"], "test", test_acc, test_loss))
     return {
         "dev": dev_acc,

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 from switchprompt import autograd as ag
 from switchprompt.autograd import DropoutRng, Tensor
@@ -122,6 +123,26 @@ class TestBackward:
         ag.backward(loss)
         np.testing.assert_array_equal(a.grad, 2.0 * first_a)
         np.testing.assert_array_equal(b.grad, 2.0 * first_b)
+
+    def test_only_leaves_hold_gradients(self):
+        rng = np.random.default_rng(24)
+        a = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
+        b = Tensor(rng.standard_normal((2, 4)), requires_grad=True)
+        product = ag.matmul(a, b)
+        hidden = ag.gelu(product)
+        loss = ag.sum_all(hidden)
+        ag.backward(loss)
+        # leaf gradients as the chain rule gives them: d sum(gelu(ab)) = gelu'(ab)
+        x = a.data @ b.data
+        dgelu = 0.5 * (1.0 + erf(x / np.sqrt(2.0))) + x * np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+        np.testing.assert_allclose(a.grad, dgelu @ b.data.T, atol=1e-12)
+        np.testing.assert_allclose(b.grad, a.data.T @ dgelu, atol=1e-12)
+        assert product.grad is None and hidden.grad is None and loss.grad is None
+        first_a, first_b = a.grad.copy(), b.grad.copy()
+        ag.backward(loss)
+        np.testing.assert_array_equal(a.grad, 2.0 * first_a)
+        np.testing.assert_array_equal(b.grad, 2.0 * first_b)
+        assert product.grad is None and hidden.grad is None
 
     def test_constant_tensors_never_accumulate(self):
         const = Tensor(np.ones((2, 2)))
@@ -247,6 +268,71 @@ class TestRemainingOps:
             lambda t: ag.sum_all(ag.mul(ag.transpose(t[0]), Tensor(w))), [arr]
         )
         assert err < 1e-4
+
+
+class TestBatchedOps:
+    def test_broadcast_matmul_matches_stacked_products(self):
+        rng = np.random.default_rng(30)
+        a = rng.standard_normal((2, 3, 4, 5))
+        b = rng.standard_normal((2, 1, 5, 2))
+        w = rng.standard_normal((5, 2))
+        out = ag.matmul(Tensor(a), Tensor(b)).data
+        for i in range(2):
+            for j in range(3):
+                np.testing.assert_array_equal(out[i, j], a[i, j] @ b[i, 0])
+        np.testing.assert_allclose(ag.matmul(Tensor(a), Tensor(w)).data, a @ w, atol=1e-15)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            ag.matmul(Tensor(a), Tensor(rng.standard_normal((4, 5, 2))))
+
+    def test_frozen_operand_gets_no_gradient(self):
+        rng = np.random.default_rng(31)
+        x = Tensor(rng.standard_normal((2, 3, 4)), requires_grad=True)
+        w = Tensor(rng.standard_normal((4, 2)))
+        ag.backward(ag.sum_all(ag.matmul(x, w)))
+        assert w.grad is None
+        np.testing.assert_allclose(x.grad, np.broadcast_to(w.data.sum(axis=1), (2, 3, 4)), atol=1e-15)
+
+    def test_permute_and_transpose_invert(self):
+        x = Tensor(np.arange(24.0).reshape(2, 3, 4))
+        np.testing.assert_array_equal(ag.permute(x, (1, 2, 0)).data, x.data.transpose(1, 2, 0))
+        np.testing.assert_array_equal(ag.transpose(x).data, x.data.transpose(0, 2, 1))
+        with pytest.raises(ValueError, match="permute axes"):
+            ag.permute(x, (0, 1))
+
+    def test_masked_softmax_gives_masked_slots_zero_probability_and_gradient(self):
+        rng = np.random.default_rng(32)
+        x = Tensor(rng.standard_normal((2, 3, 5)), requires_grad=True)
+        mask = np.where(np.arange(5) < np.array([[5], [2]]), 0.0, -np.inf)[:, None, :]
+        probs = ag.softmax_rows(x, mask)
+        np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0, atol=1e-12)
+        assert (probs.data[1, :, 2:] == 0.0).all()
+        # the unmasked part equals an unmasked softmax of the kept slots
+        kept = ag.softmax_rows(Tensor(x.data[1, :, :2])).data
+        np.testing.assert_allclose(probs.data[1, :, :2], kept, atol=1e-15)
+        ag.backward(ag.sum_all(ag.mul(probs, Tensor(rng.standard_normal((2, 3, 5))))))
+        assert (x.grad[1, :, 2:] == 0.0).all()
+        assert np.abs(x.grad[1, :, :2]).max() > 0
+
+    def test_embedding_gathers_a_batch_of_id_rows(self):
+        table = Tensor(np.arange(10.0).reshape(5, 2), requires_grad=True)
+        out = ag.embedding(table, [[3, 0], [1, 3]])
+        assert out.data.tolist() == [[[6.0, 7.0], [0.0, 1.0]], [[2.0, 3.0], [6.0, 7.0]]]
+        ag.backward(ag.sum_all(out))
+        np.testing.assert_array_equal(table.grad[:, 0], [1, 1, 0, 2, 0])
+
+    def test_per_example_dropout_streams_equal_single_example_calls(self):
+        lengths, sites, shape = [3, 1, 2], 2, (3, 3, 4)
+        batched, single = DropoutRng(4), DropoutRng(4)
+        batched.begin_step(6)
+        single.begin_step(6)
+        streams = batched.per_example(lengths, sites)
+        masks = [streams.mask(shape, 0.3) for _ in range(sites)]
+        for b, n in enumerate(lengths):
+            for site in range(sites):
+                np.testing.assert_array_equal(masks[site][b, :n], single.mask((n, 4), 0.3))
+        assert batched.calls == single.calls == len(lengths) * sites
+        with pytest.raises(RuntimeError, match="reserved"):
+            streams.mask(shape, 0.3)
 
 
 class TestDropout:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from switchprompt.cli import main
+from switchprompt.gradcheck import OP_TRIALS
 
 
 @pytest.fixture(scope="module")
@@ -164,7 +165,7 @@ class TestGradcheckCli:
     def test_exit_zero_and_one_line_per_op(self, capsys):
         assert main(["gradcheck", "--trials", "3"]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("PASS")]
-        assert len(lines) == 20
+        assert len(lines) == len(OP_TRIALS)
 
 
 class TestUnknownInputs:

@@ -14,7 +14,7 @@ from switchprompt.encoder import (
     EncoderConfig,
     EncoderWeights,
     TransformerEncoder,
-    attention_probs,
+    pad_batch,
     pretrain_masked_token,
     trainable_parameter_count,
 )
@@ -217,6 +217,52 @@ class TestEncodePrompted:
         assert enc.weights.checksum() == before
 
 
+class TestRaggedBatch:
+    SEQUENCES = [[0, 2, 11, 6], [0, 5], [0, 1, 7, 4, 4, 9, 3], [0, 8, 8]]
+
+    def test_plain_batch_matches_reference_per_sequence(self):
+        enc = small_encoder(seed=40)
+        ids, lengths = pad_batch(self.SEQUENCES)
+        cls, states = enc.encode_plain(ids, lengths=lengths)
+        assert cls.shape == (4, 8) and states.shape == (4, 7, 8)
+        for b, seq in enumerate(self.SEQUENCES):
+            expected = reference_forward(enc, seq)
+            np.testing.assert_allclose(states.data[b, : len(seq)], expected, atol=1e-9)
+            np.testing.assert_allclose(cls.data[b], expected[0], atol=1e-9)
+
+    def test_prompted_batch_matches_reference_per_sequence(self):
+        enc = small_encoder(seed=41)
+        rng = np.random.default_rng(42)
+        prompts = [Tensor(rng.standard_normal((4, 3, 8))) for _ in range(2)]
+        ids, lengths = pad_batch(self.SEQUENCES)
+        cls = enc.encode_prompted(ids, prompts, lengths=lengths)
+        for b, seq in enumerate(self.SEQUENCES):
+            expected = reference_forward(enc, seq, [p.data[b] for p in prompts])[0]
+            np.testing.assert_allclose(cls.data[b], expected, atol=1e-9)
+
+    def test_shared_prompt_broadcasts_over_the_batch(self):
+        enc = small_encoder(seed=43)
+        rng = np.random.default_rng(44)
+        shared = [Tensor(rng.standard_normal((2, 8))) for _ in range(2)]
+        ids, lengths = pad_batch(self.SEQUENCES)
+        cls = enc.encode_prompted(ids, shared, lengths=lengths)
+        for b, seq in enumerate(self.SEQUENCES):
+            expected = reference_forward(enc, seq, [p.data for p in shared])[0]
+            np.testing.assert_allclose(cls.data[b], expected, atol=1e-9)
+
+    def test_batch_errors_name_the_problem(self):
+        enc = small_encoder()
+        ids, lengths = pad_batch([[0, 3], [4, 5]])
+        with pytest.raises(ValueError, match="CLS"):
+            enc.encode_plain(ids, lengths=lengths)
+        with pytest.raises(ValueError, match="lengths"):
+            enc.encode_plain(np.zeros((2, 3), dtype=int), lengths=[0, 3])
+        with pytest.raises(ValueError, match="batch 3"):
+            enc.encode_prompted(np.zeros((2, 3), dtype=int), [Tensor(np.zeros((3, 1, 8)))] * 2)
+        with pytest.raises(ValueError, match="empty batch"):
+            pad_batch([])
+
+
 class TestActivationChoice:
     def test_relu_backbone_runs_and_differs_from_gelu(self):
         gelu_enc = small_encoder(seed=30, activation="gelu")
@@ -237,12 +283,17 @@ class TestActivationChoice:
 
 class TestAttentionNormalization:
     def test_rows_sum_to_one_with_and_without_prompt_slots(self):
+        # (B, H, T, l+T) scores under the encoder's key-padding mask
         rng = np.random.default_rng(18)
+        lengths = np.array([5, 3])
         for extra in (0, 3):
-            q = Tensor(rng.standard_normal((5, 4)))
-            k = Tensor(rng.standard_normal((5 + extra, 4)))
-            probs = attention_probs(q, k, head_dim=4)
-            np.testing.assert_allclose(probs.data.sum(axis=1), 1.0, atol=1e-9)
+            slots = np.arange(extra + 5) < extra + lengths[:, None]
+            mask = np.where(slots, 0.0, -np.inf)[:, None, None, :]
+            scores = Tensor(rng.standard_normal((2, 2, 5, 5 + extra)))
+            probs = ag.softmax_rows(scores, mask)
+            np.testing.assert_allclose(probs.data.sum(axis=-1), 1.0, atol=1e-9)
+            assert (probs.data[1, :, :, extra + 3:] == 0.0).all()
+            assert (probs.data[1, :, :, : extra + 3] > 0.0).all()
 
 
 class TestClassificationHead:
