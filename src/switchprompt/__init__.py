@@ -29,7 +29,8 @@ from .prompts import (
     PromptState,
     Variant,
     compose_domain_prompt,
-    compose_prompt,
+    compose_with_gates,
+    compute_gates,
     gate,
     init_prompt_state,
     pad_prompt,

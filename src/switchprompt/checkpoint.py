@@ -17,13 +17,14 @@ Header schema::
       }
     }
 
-Offsets are relative to the start of the data section. All tensors are
-float64, C-contiguous.
+Offsets are relative to the start of the data section, in whole float64s.
+All tensors are float64, C-contiguous.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -55,17 +56,52 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray], meta: dict
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
+    """Tensors and meta of a checkpoint; a malformed file raises ValueError naming it."""
     raw = Path(path).read_bytes()
     if len(raw) < 8:
         raise ValueError(f"{path}: not a checkpoint file (too short)")
     (header_len,) = struct.unpack("<Q", raw[:8])
-    header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
+    if header_len > len(raw) - 8:
+        raise ValueError(f"{path}: header length {header_len} runs past the end of the file")
+    try:
+        header = json.loads(raw[8 : 8 + header_len].decode("utf-8"))
+    except ValueError as exc:  # UnicodeDecodeError and JSONDecodeError
+        raise ValueError(f"{path}: header is not UTF-8 JSON ({exc})") from None
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: header is not a JSON object")
     if header.get("version") != _VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {header.get('version')}")
-    data = raw[8 + header_len :]
+    entries, meta = header.get("tensors"), header.get("meta")
+    if not isinstance(entries, dict) or not isinstance(meta, dict):
+        raise ValueError(f"{path}: header needs a tensors object and a meta object")
+    data_len = len(raw) - 8 - header_len
+    values = np.frombuffer(raw, np.float64, data_len // 8, 8 + header_len)
     tensors: dict[str, np.ndarray] = {}
-    for name, entry in header["tensors"].items():
-        start, nbytes = entry["offset"], entry["nbytes"]
-        array = np.frombuffer(data[start : start + nbytes], dtype=np.float64)
-        tensors[name] = array.reshape(entry["shape"]).copy()
-    return tensors, header["meta"]
+    for name, entry in entries.items():
+        # integer checks only: a checkpoint loads in well under a millisecond
+        try:
+            dtype, shape = entry["dtype"], entry["shape"]
+            start, nbytes, size = entry["offset"], entry["nbytes"], 8 * math.prod(shape)
+        except (KeyError, TypeError):
+            raise ValueError(
+                f"{path}: tensor {name!r}: entry needs a dtype, a shape list, an offset and nbytes"
+            ) from None
+        if dtype != "float64":
+            raise ValueError(f"{path}: tensor {name!r}: dtype {dtype!r} is not float64")
+        if (type(start) is not int or type(nbytes) is not int or start % 8
+                or nbytes < 0 or not 0 <= start <= data_len - nbytes):
+            raise ValueError(
+                f"{path}: tensor {name!r}: offset {start!r} + nbytes {nbytes!r} "
+                f"leaves the {data_len}-byte data section or splits a float64"
+            )
+        if type(shape) is not list or nbytes != size:
+            raise ValueError(
+                f"{path}: tensor {name!r}: {nbytes} bytes do not hold float64 shape {shape!r}"
+            )
+        try:
+            tensors[name] = values[start // 8 : (start + nbytes) // 8].reshape(shape).copy()
+        except (TypeError, ValueError):  # a dim that is not an integer, or negative dims
+            raise ValueError(
+                f"{path}: tensor {name!r}: shape {shape!r} is not a list of sizes"
+            ) from None
+    return tensors, meta

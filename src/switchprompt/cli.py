@@ -15,13 +15,14 @@ from pathlib import Path
 from . import data as data_mod
 from . import gradcheck as gradcheck_mod
 from . import keywords as kw_mod
+from .prompts import Variant
 from .runner import (
     RunConfig,
     ablate,
     evaluate,
     format_results_table,
-    load_config,
     load_model,
+    parse_config_text,
     train,
 )
 
@@ -152,7 +153,8 @@ def cmd_sample_fewshot(args) -> int:
 def _assemble_config(args) -> RunConfig:
     values = {}
     if args.config:
-        values = load_config(args.config).to_dict()
+        # checked as a whole once the flags are merged in
+        values = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
     overrides = {
         "variant": args.variant,
         "shots": args.shots,
@@ -183,7 +185,7 @@ def _prepare_run(args):
     dataset = data_mod.load_dataset(config.dataset)
     split = data_mod.sample_fewshot(dataset, shots=config.shots, seed=config.split_seed)
     keyword_set = None
-    if config.variant != "soft-only" or args.handler is cmd_ablate:
+    if Variant.parse(config.variant).uses("K") or args.handler is cmd_ablate:
         if config.keywords_file:
             keyword_set = kw_mod.read_keywords(config.keywords_file, alpha=config.alpha)
         elif config.general_corpus and config.domain_corpus:

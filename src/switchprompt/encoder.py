@@ -62,7 +62,7 @@ class EncoderConfig:
     init_std: float = 0.3
 
     def __post_init__(self):
-        if self.embed_dim % self.num_heads != 0:
+        if self.num_heads < 1 or self.embed_dim % self.num_heads != 0:
             raise ValueError(
                 f"embed_dim {self.embed_dim} not divisible by num_heads {self.num_heads}"
             )

@@ -12,8 +12,23 @@ depends on the input even though the keyword vectors themselves are fixed.
 For a batch of B representations ``(B, e)`` the gates have shape
 ``(B, 1, 1)`` and broadcast the composition to one ``(B, l, e)`` prompt
 per layer.
-The restricted variants remove pieces of this formula (no second gate, fixed
-concatenation order, keywords alone, soft prompts alone).
+
+The restricted variants remove pieces of this formula. ``VARIANT_ORDERS``
+is the one table of variants: each row gives the concatenation orders of the
+soft block V (m rows per layer) and the keyword block K (n rows), and every
+other fact about a variant follows from its row:
+
+    variant          orders    gates    prompt_len
+    switchprompt     VK, KV    g1, g2   m + n
+    mix-no-concat    V, K      g1, g2   m = n
+    concat-vk        VK        g1       m + n
+    concat-kv        KV        g1       m + n
+    keywords-only    K         -        n
+    soft-only        V         -        m
+
+A variant has V (and its tensors) if an order contains V, and K likewise. g2
+mixes two orders row by row, so they must be equally long; g1 mixes the padded
+soft block with that mix, or with the single order, when both parts are used.
 """
 
 from __future__ import annotations
@@ -29,6 +44,8 @@ INIT_STD = 0.02
 
 
 class Variant(str, Enum):
+    """Prompt-composition variants, in ablation-table order."""
+
     SWITCHPROMPT = "switchprompt"
     MIX_NO_CONCAT = "mix-no-concat"
     CONCAT_VK = "concat-vk"
@@ -46,21 +63,43 @@ class Variant(str, Enum):
             valid = " | ".join(v.value for v in cls)
             raise ValueError(f"unknown variant {name!r}; expected one of: {valid}") from None
 
+    @property
+    def orders(self) -> tuple[str, ...]:
+        """Concatenation orders of the soft block V and the keyword block K."""
+        return VARIANT_ORDERS[self]
 
-# table order used by ablation sweeps
-VARIANT_ORDER = (
-    Variant.SWITCHPROMPT,
-    Variant.MIX_NO_CONCAT,
-    Variant.CONCAT_VK,
-    Variant.CONCAT_KV,
-    Variant.KEYWORDS_ONLY,
-    Variant.SOFT_ONLY,
-)
+    def uses(self, part: str) -> bool:
+        """Whether the prompt contains part "V" (soft) or "K" (keywords)."""
+        return part in "".join(self.orders)
 
-_USES_SOFT = {v for v in Variant if v is not Variant.KEYWORDS_ONLY}
-_USES_KEYWORDS = {v for v in Variant if v is not Variant.SOFT_ONLY}
-_USES_GATE1 = {Variant.SWITCHPROMPT, Variant.MIX_NO_CONCAT, Variant.CONCAT_VK, Variant.CONCAT_KV}
-_USES_GATE2 = {Variant.SWITCHPROMPT, Variant.MIX_NO_CONCAT}
+    @property
+    def uses_gate1(self) -> bool:
+        """Both parts, mixed by g1: exactly the variants whose prompt depends on the input."""
+        return self.uses("V") and self.uses("K")
+
+    @property
+    def uses_gate2(self) -> bool:
+        return len(self.orders) == 2
+
+    def prompt_len(self, m: int, n: int) -> int:
+        """Prompt slots for m soft vectors and n keywords; two mixed orders must be equally long."""
+        lengths = {order.count("V") * m + order.count("K") * n for order in self.orders}
+        if len(lengths) > 1:
+            raise ValueError(
+                f"variant {self.value} mixes {' and '.join(self.orders)} row by row, so they "
+                f"must be equally long: got m = {m} soft prompt vectors, n = {n} keywords"
+            )
+        return lengths.pop()
+
+
+VARIANT_ORDERS: dict[Variant, tuple[str, ...]] = {
+    Variant.SWITCHPROMPT: ("VK", "KV"),
+    Variant.MIX_NO_CONCAT: ("V", "K"),
+    Variant.CONCAT_VK: ("VK",),
+    Variant.CONCAT_KV: ("KV",),
+    Variant.KEYWORDS_ONLY: ("K",),
+    Variant.SOFT_ONLY: ("V",),
+}
 
 
 class PromptState:
@@ -68,8 +107,8 @@ class PromptState:
 
     ``soft_prompts`` holds one (m, e) matrix per encoder layer; the keyword
     matrix (n, e) is shared across layers and stays fixed unless
-    ``train_keywords`` was requested. Gate weight vectors exist only for the
-    variants that use them.
+    ``train_keywords`` was requested. A tensor exists only for the variants
+    whose table row uses it.
     """
 
     def __init__(
@@ -85,51 +124,45 @@ class PromptState:
         self.keyword_vectors = keyword_vectors
         self.gate1_weights = gate1_weights
         self.gate2_weights = gate2_weights
+        m = soft_prompts[0].shape[0] if soft_prompts else 0
+        n = keyword_vectors.shape[0] if keyword_vectors is not None else 0
+        self.prompt_len = variant.prompt_len(m, n)
 
-    @property
-    def soft_len(self) -> int:
-        return self.soft_prompts[0].shape[0] if self.soft_prompts else 0
-
-    @property
-    def num_keywords(self) -> int:
-        return self.keyword_vectors.shape[0] if self.keyword_vectors is not None else 0
-
-    @property
-    def prompt_len(self) -> int:
-        """Number of prompt slots the encoder sees for this variant."""
-        m, n = self.soft_len, self.num_keywords
-        if self.variant is Variant.KEYWORDS_ONLY:
-            return n
-        if self.variant is Variant.SOFT_ONLY:
-            return m
-        if self.variant is Variant.MIX_NO_CONCAT:
-            return max(m, n)
-        return m + n
+    def named_tensors(self) -> dict[str, Tensor]:
+        """Every prompt tensor by checkpoint name, in the order Adam and clipping see them."""
+        named = {f"prompt.layer{i}.soft": p for i, p in enumerate(self.soft_prompts or ())}
+        named.update({"prompt.keywords": self.keyword_vectors, "prompt.gate1": self.gate1_weights,
+                      "prompt.gate2": self.gate2_weights})
+        return {name: t for name, t in named.items() if t is not None}
 
     def parameters(self) -> list[Tensor]:
-        params: list[Tensor] = []
-        if self.soft_prompts is not None:
-            params.extend(self.soft_prompts)
-        if self.keyword_vectors is not None:
-            params.append(self.keyword_vectors)
-        if self.gate1_weights is not None:
-            params.append(self.gate1_weights)
-        if self.gate2_weights is not None:
-            params.append(self.gate2_weights)
-        return [p for p in params if p.requires_grad]
+        return [t for t in self.named_tensors().values() if t.requires_grad]
 
     def named_arrays(self) -> dict[str, np.ndarray]:
-        named: dict[str, np.ndarray] = {}
-        if self.soft_prompts is not None:
-            for i, p in enumerate(self.soft_prompts):
-                named[f"prompt.layer{i}.soft"] = p.data
-        if self.keyword_vectors is not None:
-            named["prompt.keywords"] = self.keyword_vectors.data
-        if self.gate1_weights is not None:
-            named["prompt.gate1"] = self.gate1_weights.data
-        if self.gate2_weights is not None:
-            named["prompt.gate2"] = self.gate2_weights.data
-        return named
+        return {name: t.data for name, t in self.named_tensors().items()}
+
+    @classmethod
+    def from_arrays(cls, variant: "str | Variant", arrays: dict[str, np.ndarray], num_layers: int,
+                    train_keywords: bool = False) -> "PromptState":
+        """Inverse of ``named_arrays``; names every tensor the variant needs and `arrays` lacks."""
+        variant = Variant.parse(variant)
+        missing: list[str] = []
+
+        def take(name: str, requires_grad: bool = True) -> Tensor | None:
+            if name not in arrays:
+                missing.append(name)
+                return None
+            return Tensor(arrays[name], requires_grad=requires_grad)
+
+        soft = None
+        if variant.uses("V"):
+            soft = [take(f"prompt.layer{i}.soft") for i in range(num_layers)]
+        kw = take("prompt.keywords", train_keywords) if variant.uses("K") else None
+        g1 = take("prompt.gate1") if variant.uses_gate1 else None
+        g2 = take("prompt.gate2") if variant.uses_gate2 else None
+        if missing:
+            raise ValueError(f"variant {variant.value} needs prompt tensors {', '.join(missing)}")
+        return cls(variant, soft, kw, g1, g2)
 
 
 def init_prompt_state(
@@ -145,7 +178,7 @@ def init_prompt_state(
     variant = Variant.parse(variant)
 
     soft = None
-    if variant in _USES_SOFT:
+    if variant.uses("V"):
         if soft_len < 1:
             raise ValueError(f"variant {variant.value} needs soft_len >= 1, got {soft_len}")
         soft = [
@@ -154,7 +187,7 @@ def init_prompt_state(
         ]
 
     kw = None
-    if variant in _USES_KEYWORDS:
+    if variant.uses("K"):
         if keyword_vectors is None:
             raise ValueError(f"variant {variant.value} needs keyword vectors")
         data = keyword_vectors.data if isinstance(keyword_vectors, Tensor) else keyword_vectors
@@ -163,15 +196,10 @@ def init_prompt_state(
             raise ValueError(f"keyword vectors shape {data.shape} incompatible with embed_dim {embed_dim}")
         kw = Tensor(data.copy(), requires_grad=train_keywords)
 
-    if variant is Variant.MIX_NO_CONCAT and soft_len != kw.shape[0]:
-        raise ValueError(
-            f"variant mix-no-concat needs soft_len == num_keywords, got {soft_len} != {kw.shape[0]}"
-        )
-
     g1 = g2 = None
-    if variant in _USES_GATE1:
+    if variant.uses_gate1:
         g1 = Tensor(rng.normal(0.0, INIT_STD, size=(embed_dim,)), requires_grad=True)
-    if variant in _USES_GATE2:
+    if variant.uses_gate2:
         g2 = Tensor(rng.normal(0.0, INIT_STD, size=(embed_dim,)), requires_grad=True)
     return PromptState(variant, soft, kw, g1, g2)
 
@@ -204,9 +232,16 @@ def compose_domain_prompt(soft: Tensor, keywords: Tensor, gate2: Tensor) -> Tens
     """Convex mix of the two concatenation orders, row by row."""
     if soft.shape[1] != keywords.shape[1]:
         raise ValueError(f"embed dims differ: soft {soft.shape} vs keywords {keywords.shape}")
-    soft_first = ag.concat([soft, keywords], axis=0)
-    keywords_first = ag.concat([keywords, soft], axis=0)
-    return _convex_mix(gate2, soft_first, keywords_first)
+    return _domain_prompt(Variant.SWITCHPROMPT.orders, {"V": soft, "K": keywords}, gate2)
+
+
+def _domain_prompt(orders: tuple[str, ...], blocks: dict[str, Tensor], g2: Tensor | None) -> Tensor:
+    """The single order, or the g2 mix of the two."""
+    candidates = [
+        ag.concat([blocks[part] for part in order], axis=0) if len(order) > 1 else blocks[order]
+        for order in orders
+    ]
+    return _convex_mix(g2, *candidates) if len(candidates) == 2 else candidates[0]
 
 
 def _convex_mix(g: Tensor, a: Tensor, b: Tensor) -> Tensor:
@@ -227,31 +262,15 @@ def compose_with_gates(
     """Compose one layer's prompt from precomputed gate values.
 
     Scalar gates give an (l, e) prompt and (B, 1, 1) gates a (B, l, e) one;
-    the gate-free variants return their shared (l, e) parameters.
+    the gate-free variants return their shared (l, e) parameters. Gates the
+    variant does not use are ignored.
     """
     variant = state.variant
-    if variant is Variant.KEYWORDS_ONLY:
-        return state.keyword_vectors
-    soft = state.soft_prompts[layer]
-    if variant is Variant.SOFT_ONLY:
-        return soft
-    kw = state.keyword_vectors
-    if variant is Variant.SWITCHPROMPT:
-        domain = compose_domain_prompt(soft, kw, g2)
-    elif variant is Variant.MIX_NO_CONCAT:
-        domain = _convex_mix(g2, soft, kw)
-    elif variant is Variant.CONCAT_VK:
-        domain = ag.concat([soft, kw], axis=0)
-    else:  # CONCAT_KV
-        domain = ag.concat([kw, soft], axis=0)
-    padded = pad_prompt(soft, domain.shape[-2])
-    return _convex_mix(g1, padded, domain)
-
-
-def compose_prompt(state: PromptState, sentence_repr: Tensor, layer: int = 0) -> Tensor:
-    """Prompt matrix for one layer, gates computed from the input sentence."""
-    g1, g2 = compute_gates(state, sentence_repr)
-    return compose_with_gates(state, g1, g2, layer)
+    soft = state.soft_prompts[layer] if variant.uses("V") else None
+    domain = _domain_prompt(variant.orders, {"V": soft, "K": state.keyword_vectors}, g2)
+    if not variant.uses_gate1:
+        return domain
+    return _convex_mix(g1, pad_prompt(soft, domain.shape[-2]), domain)
 
 
 def per_layer_prompts(state: PromptState, sentence_repr: Tensor, num_layers: int) -> list[Tensor]:

@@ -45,7 +45,6 @@ from .encoder import (
 from .keywords import KeywordSet, vectorize_keywords
 from .optim import Adam, ExponentialDecay, clip_global_norm
 from .prompts import (
-    VARIANT_ORDER,
     PromptState,
     Variant,
     compose_with_gates,
@@ -103,20 +102,64 @@ class RunConfig:
     save_checkpoints: bool = True
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ValueError("seeds list must not be empty")
-        Variant.parse(self.variant)
+        for key, kinds in _CONFIG_TYPES.items():
+            value = getattr(self, key)
+            if not isinstance(value, kinds) or (type(value) is bool) != (bool in kinds):
+                raise ValueError(f"config key {key}: expected {kinds[-1].__name__}, got {value!r}")
+        if not self.seeds or not all(type(seed) is int for seed in self.seeds):
+            raise ValueError(
+                f"config key seeds: must be a non-empty list of ints, got {self.seeds!r}"
+            )
+        variant = Variant.parse(self.variant)
+        for key, ok, rule in (
+            ("gate_input", self.gate_input in ("plain", "prompted"), "plain or prompted"),
+            ("backbone_init", self.backbone_init in ("random", "mlm"), "random or mlm"),
+            ("keyword_vector_mode", self.keyword_vector_mode in ("embedding", "cls"),
+             "embedding or cls"),
+            ("batch_size", self.batch_size >= 1, ">= 1"),
+            ("lr", self.lr > 0, "> 0"),
+            ("encoder_dropout", 0 <= self.encoder_dropout < 1, "in [0, 1)"),
+            ("head_dropout", 0 <= self.head_dropout < 1, "in [0, 1)"),
+        ):
+            if not ok:
+                raise ValueError(f"config key {key}: must be {rule}, got {getattr(self, key)!r}")
+        prompt_len = variant.prompt_len(self.soft_prompt_len, self.num_keywords)
+        if prompt_len >= self.max_seq_len:
+            raise ValueError(
+                f"config key max_seq_len: {self.max_seq_len} leaves no room for text after "
+                f"the {prompt_len} prompt slots of variant {variant.value}"
+            )
+
+    def encoder_config(self, vocab_size: int) -> EncoderConfig:
+        return EncoderConfig(
+            vocab_size=vocab_size,
+            embed_dim=self.embed_dim,
+            num_layers=self.num_layers,
+            num_heads=self.num_heads,
+            ffn_dim=self.ffn_dim,
+            max_seq_len=self.max_seq_len,
+            dropout_rate=self.encoder_dropout,
+            activation=self.activation,
+            init_std=self.backbone_init_std,
+        )
 
     @classmethod
     def from_dict(cls, values: dict) -> "RunConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(values) - known
+        unknown = set(values) - _CONFIG_TYPES.keys()
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**values)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
+
+
+# each config key's type, from its default value; an int is a valid float
+_CONFIG_TYPES = {
+    f.name: (int, float) if type(default) is float else (type(default),)
+    for f in dataclasses.fields(RunConfig)
+    for default in [f.default_factory() if f.default is dataclasses.MISSING else f.default]
+}
 
 
 def parse_config_text(text: str) -> dict:
@@ -197,11 +240,6 @@ class PromptedClassifier:
         # CLS row per text; only valid as long as the backbone stays fixed
         self._repr_cache: dict[str, np.ndarray] = repr_cache if repr_cache is not None else {}
 
-    @property
-    def _needs_gates(self) -> bool:
-        state = self.prompt_state
-        return state.gate1_weights is not None or state.gate2_weights is not None
-
     def _ids(self, text: str) -> list[int]:
         budget = self.encoder.config.max_seq_len - self.prompt_state.prompt_len
         return self.tokenizer.encode(text)[:budget]
@@ -212,7 +250,7 @@ class PromptedClassifier:
         `ids` and `lengths` are the padded batch of `texts`. With a frozen
         backbone, only the texts missing from the cache are encoded.
         """
-        if not self._needs_gates:
+        if not self.prompt_state.variant.uses_gate1:
             return None
         if self.gate_input == "prompted":
             # CLS of a pass whose prompts are composed with neutral gates
@@ -307,17 +345,7 @@ def _build_backbone(config: RunConfig, split: FewShotSplit, keyword_set: Keyword
     if keyword_set is not None:
         texts = texts + [" ".join(keyword_set.words)]
     tokenizer = Tokenizer.build(texts, max_vocab=config.vocab_cap)
-    enc_cfg = EncoderConfig(
-        vocab_size=tokenizer.vocab_size,
-        embed_dim=config.embed_dim,
-        num_layers=config.num_layers,
-        num_heads=config.num_heads,
-        ffn_dim=config.ffn_dim,
-        max_seq_len=config.max_seq_len,
-        dropout_rate=config.encoder_dropout,
-        activation=config.activation,
-        init_std=config.backbone_init_std,
-    )
+    enc_cfg = config.encoder_config(tokenizer.vocab_size)
     weights = EncoderWeights.init(enc_cfg, seed=config.backbone_seed, frozen=False)
     encoder = TransformerEncoder(enc_cfg, weights)
     if config.backbone_init == "mlm":
@@ -325,14 +353,8 @@ def _build_backbone(config: RunConfig, split: FewShotSplit, keyword_set: Keyword
         pretrain_masked_token(
             encoder, sequences, steps=config.mlm_steps, seed=config.backbone_seed, lr=config.mlm_lr
         )
-    elif config.backbone_init != "random":
-        raise ValueError(f"unknown backbone_init {config.backbone_init!r}")
     weights.set_frozen(config.freeze_backbone)
     return tokenizer, encoder
-
-
-def _variant_uses_keywords(variant: Variant) -> bool:
-    return variant is not Variant.SOFT_ONLY
 
 
 def train(
@@ -345,7 +367,7 @@ def train(
     if out_dir is None and config.out_dir:
         out_dir = config.out_dir
     variant = Variant.parse(config.variant)
-    if _variant_uses_keywords(variant):
+    if variant.uses("K"):
         if keyword_set is None:
             raise ValueError(f"variant {variant.value} needs a keyword set")
         if keyword_set.n != config.num_keywords:
@@ -356,7 +378,7 @@ def train(
 
     tokenizer, encoder = _build_backbone(config, split, keyword_set)
     kw_vectors = None
-    if _variant_uses_keywords(variant):
+    if variant.uses("K"):
         kw_vectors = vectorize_keywords(
             keyword_set, tokenizer, encoder, method=config.keyword_vector_mode
         )
@@ -522,38 +544,27 @@ def _save_model(path: Path, config: RunConfig, model: PromptedClassifier, seed, 
 def load_model(path: str | Path) -> PromptedClassifier:
     """Rebuild a PromptedClassifier from a training checkpoint."""
     tensors, meta = load_checkpoint(path)
-    config = RunConfig.from_dict(meta["config"])
-    tokenizer = Tokenizer.from_full_vocab(meta["vocab"])
-    enc_cfg = EncoderConfig(
-        vocab_size=tokenizer.vocab_size,
-        embed_dim=config.embed_dim,
-        num_layers=config.num_layers,
-        num_heads=config.num_heads,
-        ffn_dim=config.ffn_dim,
-        max_seq_len=config.max_seq_len,
-        dropout_rate=config.encoder_dropout,
-        activation=config.activation,
-        init_std=config.backbone_init_std,
-    )
+    for key, kind in (("config", dict), ("vocab", list), ("labels", list), ("variant", str)):
+        if not isinstance(meta.get(key), kind):
+            raise ValueError(f"{path}: checkpoint meta lacks {key!r} (a JSON {kind.__name__})")
+    missing = [name for name in ("head.weight", "head.bias") if name not in tensors]
+    if missing:
+        raise ValueError(f"{path}: checkpoint lacks tensors {', '.join(missing)}")
+    try:
+        config = RunConfig.from_dict(meta["config"])
+        tokenizer = Tokenizer.from_full_vocab(meta["vocab"])
+        enc_cfg = config.encoder_config(tokenizer.vocab_size)
+        state = PromptState.from_arrays(
+            meta["variant"], tensors, config.num_layers, config.train_keywords
+        )
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     backbone = {
         name: Tensor(arr)
         for name, arr in tensors.items()
         if not name.startswith(("prompt.", "head."))
     }
-    weights = EncoderWeights(enc_cfg, backbone, frozen=True)
-    encoder = TransformerEncoder(enc_cfg, weights)
-
-    variant = Variant.parse(meta["variant"])
-    soft = None
-    if f"prompt.layer0.soft" in tensors:
-        soft = [
-            Tensor(tensors[f"prompt.layer{i}.soft"], requires_grad=True)
-            for i in range(config.num_layers)
-        ]
-    kw = Tensor(tensors["prompt.keywords"]) if "prompt.keywords" in tensors else None
-    g1 = Tensor(tensors["prompt.gate1"], requires_grad=True) if "prompt.gate1" in tensors else None
-    g2 = Tensor(tensors["prompt.gate2"], requires_grad=True) if "prompt.gate2" in tensors else None
-    state = PromptState(variant, soft, kw, g1, g2)
+    encoder = TransformerEncoder(enc_cfg, EncoderWeights(enc_cfg, backbone, frozen=True))
     head = ClassificationHead(
         Tensor(tensors["head.weight"]), Tensor(tensors["head.bias"]), config.head_dropout
     )
@@ -602,17 +613,13 @@ def ablate(
     variants: list[Variant] | None = None,
 ) -> list[RunResult]:
     """Train every variant with shared seeds and data; table in fixed order."""
-    variants = list(variants) if variants is not None else list(VARIANT_ORDER)
-    if Variant.MIX_NO_CONCAT in variants and config.soft_prompt_len != config.num_keywords:
-        raise ValueError(
-            "the mix-no-concat variant needs soft_prompt_len == num_keywords "
-            f"(got {config.soft_prompt_len} and {config.num_keywords}); "
-            "adjust the config or drop the variant"
-        )
+    variants = list(variants) if variants is not None else list(Variant)
+    # building every variant's config checks them all before the first one trains
+    configs = [replace(config, variant=variant.value) for variant in variants]
     results = []
-    for variant in variants:
-        sub_dir = Path(out_dir) / variant.value if out_dir is not None else None
-        results.append(train(replace(config, variant=variant.value), split, keyword_set, sub_dir))
+    for variant_config in configs:
+        sub_dir = Path(out_dir) / variant_config.variant if out_dir is not None else None
+        results.append(train(variant_config, split, keyword_set, sub_dir))
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         (Path(out_dir) / "ablation_table.txt").write_text(

@@ -1,11 +1,15 @@
 """End-to-end CLI flows on a small synthetic task."""
 
 import json
+import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchprompt.cli import main
 from switchprompt.gradcheck import OP_TRIALS
+from switchprompt.runner import load_model
 
 
 @pytest.fixture(scope="module")
@@ -172,3 +176,83 @@ class TestUnknownInputs:
     def test_bad_variant_is_a_clean_error(self, workspace, capsys):
         assert main(["train"] + run_flags(workspace) + ["--variant", "bogus"]) == 1
         assert "unknown variant" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(workspace):
+    out = workspace / "ckpt_source"
+    assert main(["train"] + run_flags(workspace) + ["--epochs", "1", "--out", str(out)]) == 0
+    return (out / "model_seed0.bin").read_bytes()
+
+
+def split_checkpoint(raw):
+    (header_len,) = struct.unpack("<Q", raw[:8])
+    return json.loads(raw[8 : 8 + header_len]), raw[8 + header_len :]
+
+
+def join_checkpoint(header, data):
+    encoded = json.dumps(header).encode("utf-8")
+    return struct.pack("<Q", len(encoded)) + encoded + data
+
+
+def edit_header(edit):
+    def damage(raw):
+        header, data = split_checkpoint(raw)
+        edit(header)
+        return join_checkpoint(header, data)
+    return damage
+
+
+CORRUPTIONS = {
+    "header-length-past-end": lambda raw: struct.pack("<Q", len(raw)) + raw[8:],
+    "header-not-utf8": lambda raw: raw[:8] + b"\xff" + raw[9:],
+    "header-not-json": lambda raw: raw[:8] + b"[" + raw[9:],
+    "truncated-data": lambda raw: raw[:-8],
+    "nbytes-not-shape": edit_header(lambda h: h["tensors"]["head.bias"].update(shape=[999])),
+    "dtype-float32": edit_header(lambda h: h["tensors"]["head.bias"].update(dtype="float32")),
+    "no-gate2": edit_header(lambda h: h["tensors"].pop("prompt.gate2")),
+    "no-head": edit_header(lambda h: h["tensors"].pop("head.weight")),
+    **{
+        f"meta-without-{key}": edit_header(lambda h, key=key: h["meta"].pop(key))
+        for key in ("config", "vocab", "labels", "variant")
+    },
+}
+
+
+class TestCorruptCheckpoint:
+    @pytest.mark.parametrize("kind", list(CORRUPTIONS))
+    def test_one_line_error_naming_the_file(self, workspace, checkpoint_bytes, tmp_path, capsys,
+                                            kind):
+        path = tmp_path / f"{kind}.bin"
+        path.write_bytes(CORRUPTIONS[kind](checkpoint_bytes))
+        code = main([
+            "evaluate", "--checkpoint", str(path),
+            "--data", str(workspace / "data" / "dataset.tsv"),
+        ])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1
+        assert len(err) == 1 and str(path) in err[0], err
+
+
+@pytest.fixture(scope="module")
+def damage_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("damaged")
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_damaged_header_loads_or_raises_value_error(checkpoint_bytes, damage_dir, data):
+    header_end = 8 + struct.unpack("<Q", checkpoint_bytes[:8])[0]
+    raw = bytearray(checkpoint_bytes)
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[: data.draw(st.integers(0, header_end), label="keep")]
+    else:
+        edits = st.tuples(st.integers(0, header_end - 1), st.integers(0, 255))
+        for position, value in data.draw(st.lists(edits, min_size=1, max_size=8), label="edits"):
+            raw[position] = value
+    path = damage_dir / "model.bin"
+    path.write_bytes(bytes(raw))
+    try:
+        load_model(path)
+    except ValueError:
+        pass

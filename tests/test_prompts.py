@@ -1,5 +1,7 @@
 """Gated composition: padding, gates, concatenation orders, variant semantics."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,8 @@ from switchprompt.autograd import Tensor
 from switchprompt.gradcheck import check_gradients
 from switchprompt.prompts import (
     Variant,
+    PromptState,
     compose_domain_prompt,
-    compose_prompt,
     compose_with_gates,
     compute_gates,
     gate,
@@ -26,6 +28,11 @@ def make_state(variant, rng=None, layers=2, m=2, n=3, train_keywords=False):
     kw = rng.standard_normal((n, EMBED))
     return init_prompt_state(variant, layers, EMBED, soft_len=m, keyword_vectors=kw,
                              rng=rng, train_keywords=train_keywords)
+
+
+def compose(state, sentence_repr, layer):
+    """One layer's prompt with the gates computed from `sentence_repr`."""
+    return compose_with_gates(state, *compute_gates(state, sentence_repr), layer)
 
 
 class TestPadPrompt:
@@ -127,12 +134,12 @@ class TestComposeDomainPrompt:
 class TestComposePromptVariants:
     def test_soft_only_is_the_per_layer_soft_prompt(self):
         state = make_state("soft-only")
-        out = compose_prompt(state, None, layer=1)
+        out = compose(state, None, layer=1)
         assert out is state.soft_prompts[1]
 
     def test_keywords_only_is_the_keyword_matrix(self):
         state = make_state("keywords-only")
-        out = compose_prompt(state, None, layer=0)
+        out = compose(state, None, layer=0)
         assert out is state.keyword_vectors
         assert state.parameters() == []  # nothing trainable in the prompt
 
@@ -140,7 +147,7 @@ class TestComposePromptVariants:
         state = make_state("switchprompt")
         s = np.random.default_rng(9).standard_normal(EMBED)
         state.gate1_weights.data = 100.0 * s / float(s @ s)
-        out = compose_prompt(state, Tensor(s), layer=0)
+        out = compose(state, Tensor(s), layer=0)
         padded = pad_prompt(state.soft_prompts[0], state.prompt_len)
         assert float(np.abs(out.data - padded.data).max()) < 1e-6
 
@@ -231,8 +238,8 @@ class TestInputDependence:
         rng = np.random.default_rng(14)
         state = make_state("switchprompt", rng=rng)
         s1, s2 = rng.standard_normal(EMBED), rng.standard_normal(EMBED)
-        p1 = compose_prompt(state, Tensor(s1), 0).data
-        p2 = compose_prompt(state, Tensor(s2), 0).data
+        p1 = compose(state, Tensor(s1), 0).data
+        p2 = compose(state, Tensor(s2), 0).data
         assert not np.array_equal(p1, p2)
 
 
@@ -256,7 +263,7 @@ class TestGradientRouting:
         rng = np.random.default_rng(16)
         state = make_state("switchprompt", rng=rng, train_keywords=True)
         s = Tensor(rng.standard_normal(EMBED))
-        loss = ag.sum_all(ag.mul(compose_prompt(state, s, 0),
+        loss = ag.sum_all(ag.mul(compose(state, s, 0),
                                  Tensor(rng.standard_normal((state.prompt_len, EMBED)))))
         ag.backward(loss)
         assert state.keyword_vectors.grad is not None
@@ -264,13 +271,13 @@ class TestGradientRouting:
 
 
 class TestPerLayerPrompts:
-    def test_single_layer_matches_compose_prompt(self):
+    def test_single_layer_matches_compose_with_gates(self):
         rng = np.random.default_rng(17)
         state = make_state("switchprompt", rng=np.random.default_rng(99), layers=1)
         s = Tensor(rng.standard_normal(EMBED))
         stack = per_layer_prompts(state, s, 1)
         assert len(stack) == 1
-        np.testing.assert_array_equal(stack[0].data, compose_prompt(state, s, 0).data)
+        np.testing.assert_array_equal(stack[0].data, compose(state, s, 0).data)
 
     def test_layer_count_mismatch(self):
         state = make_state("switchprompt")
@@ -312,3 +319,45 @@ class TestPerLayerPrompts:
         state = make_state("keywords-only")
         stack = per_layer_prompts(state, None, 2)
         assert stack[0] is state.keyword_vectors and stack[1] is state.keyword_vectors
+
+
+def any_state(variant, train_keywords=False):
+    """m = 2 and n = 3, except m = n = 3 where the two mixed orders must be equally long."""
+    m = 3 if variant is Variant.MIX_NO_CONCAT else 2
+    return make_state(variant, m=m, n=3, train_keywords=train_keywords)
+
+
+class TestVariantTable:
+    @pytest.mark.parametrize("train_keywords", [False, True])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_from_arrays_inverts_named_arrays(self, variant, train_keywords):
+        state = any_state(variant, train_keywords)
+        arrays = state.named_arrays()
+        back = PromptState.from_arrays(variant, arrays, 2, train_keywords=train_keywords)
+        assert list(back.named_arrays()) == list(arrays)
+        for name, array in back.named_arrays().items():
+            np.testing.assert_array_equal(array, arrays[name])
+        assert [(n, t.requires_grad) for n, t in back.named_tensors().items()] == [
+            (n, t.requires_grad) for n, t in state.named_tensors().items()
+        ]
+        for ours, theirs in zip(back.parameters(), state.parameters(), strict=True):
+            np.testing.assert_array_equal(ours.data, theirs.data)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_composed_prompt_has_prompt_len_rows(self, variant):
+        state = any_state(variant)
+        rng = np.random.default_rng(21)
+        for s in (rng.standard_normal(EMBED), rng.standard_normal((4, EMBED))):
+            for prompt in per_layer_prompts(state, Tensor(s), 2):
+                assert prompt.shape[-2:] == (state.prompt_len, EMBED)
+        # neutral gates, as the prompted gate input passes them to every variant
+        half = Tensor(0.5)
+        assert compose_with_gates(state, half, half, 1).shape == (state.prompt_len, EMBED)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_missing_tensor_is_named(self, variant):
+        arrays = any_state(variant).named_arrays()
+        for name in arrays:
+            partial = {k: v for k, v in arrays.items() if k != name}
+            with pytest.raises(ValueError, match=rf"{variant.value} needs .*{re.escape(name)}"):
+                PromptState.from_arrays(variant, partial, 2)

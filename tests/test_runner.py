@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from switchprompt import runner
 from switchprompt.data import LabeledDataset
 from switchprompt.encoder import ClassificationHead
 from switchprompt.keywords import KeywordSet
@@ -292,6 +293,38 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="seeds"):
             RunConfig(seeds=[])
 
+    @pytest.mark.parametrize("key, value", [
+        ("gate_input", "cls"),
+        ("backbone_init", "bert"),
+        ("keyword_vector_mode", "tfidf"),
+        ("batch_size", 0),
+        ("lr", 0.0),
+        ("lr", -1e-3),
+        ("encoder_dropout", 1.0),
+        ("encoder_dropout", -0.1),
+        ("head_dropout", 1.0),
+        ("head_dropout", -0.5),
+        ("max_seq_len", 18),  # the default switchprompt prompt is m + n = 18 slots
+        ("lr", None),
+        ("batch_size", "32"),
+        ("epochs", 2.5),
+        ("freeze_backbone", 1),
+        ("seeds", 0),
+        ("seeds", [0, "a"]),
+    ])
+    def test_bad_value_rejected_naming_the_key(self, key, value):
+        with pytest.raises(ValueError, match=f"config key {key}"):
+            RunConfig(**{key: value})
+
+    def test_prompt_length_limit_follows_the_variant(self):
+        RunConfig(variant="soft-only", max_seq_len=9)  # m = 8 slots leave room for CLS
+        with pytest.raises(ValueError, match="max_seq_len"):
+            RunConfig(variant="keywords-only", max_seq_len=10)
+
+    def test_mix_no_concat_with_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError, match="mix-no-concat"):
+            RunConfig(variant="mix-no-concat", soft_prompt_len=8, num_keywords=10)
+
     def test_config_file_roundtrip(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text('variant = "keywords-only"\nepochs = 3\nseeds = [7]\n')
@@ -299,6 +332,43 @@ class TestConfigParsing:
         assert cfg.variant == "keywords-only"
         assert cfg.epochs == 3
         assert cfg.seeds == [7]
+
+
+class TestBenchmarkHooks:
+    """Names the benchmark's tracer patches on ``runner`` or reads from prompt states."""
+
+    PATCHED = ("per_layer_prompts", "compose_with_gates", "clip_global_norm",
+               "pretrain_masked_token", "vectorize_keywords", "save_checkpoint", "load_checkpoint")
+
+    def test_runner_binds_the_patched_names(self):
+        for name in self.PATCHED:
+            assert callable(runner.__dict__[name]), name
+
+    @pytest.mark.parametrize("gate_input, composer", [
+        ("plain", "per_layer_prompts"), ("prompted", "compose_with_gates"),
+    ])
+    def test_classification_composes_through_the_runner_names(self, tiny_config, tiny_split,
+                                                              tiny_keywords, monkeypatch,
+                                                              gate_input, composer):
+        model = forced_class_zero_model(tiny_config, tiny_split, tiny_keywords, ["a", "b"])
+        kw = np.random.default_rng(0).standard_normal((3, tiny_config.embed_dim))
+        model.prompt_state = init_prompt_state(
+            "switchprompt", tiny_config.num_layers, tiny_config.embed_dim, soft_len=2,
+            keyword_vectors=kw, rng=np.random.default_rng(1),
+        )
+        model.gate_input = gate_input
+        calls = []
+        original = runner.__dict__[composer]
+        monkeypatch.setattr(runner, composer, lambda *a, **k: calls.append(1) or original(*a, **k))
+        model.predict(["gen000 gen001"])
+        assert calls
+
+    def test_prompt_state_fields_read_by_the_oracle(self):
+        state = init_prompt_state("switchprompt", 2, 4, soft_len=2,
+                                  keyword_vectors=np.ones((3, 4)), rng=np.random.default_rng(0))
+        assert len(state.soft_prompts) == 2
+        assert state.keyword_vectors.shape == (3, 4)
+        assert state.gate1_weights.shape == state.gate2_weights.shape == (4,)
 
 
 class TestDivergenceReporting:
