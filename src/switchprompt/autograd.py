@@ -29,7 +29,6 @@ __all__ = [
     "DropoutRng",
     "no_grad",
     "add",
-    "sub",
     "mul",
     "scale",
     "matmul",
@@ -108,26 +107,8 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
-
-    def __matmul__(self, other: "Tensor") -> "Tensor":
-        return matmul(self, other)
-
-    def __neg__(self) -> "Tensor":
-        return scale(self, -1.0)
 
 
 def _record(data: np.ndarray, parents: tuple[Tensor, ...], vjp) -> Tensor:
@@ -158,11 +139,6 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data
     return _record(data, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data - b.data
-    return _record(data, (a, b), lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:

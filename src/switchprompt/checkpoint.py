@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from pathlib import Path
 
@@ -34,6 +35,8 @@ _VERSION = 1
 
 
 def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray], meta: dict | None = None) -> None:
+    """Write the tensors in dict order to a temporary file beside `path`, then rename
+    it over `path`, so a failed save leaves the previous file whole."""
     entries: dict[str, dict] = {}
     blobs: list[bytes] = []
     offset = 0
@@ -48,11 +51,18 @@ def save_checkpoint(path: str | Path, tensors: dict[str, np.ndarray], meta: dict
         blobs.append(buf)
         offset += len(buf)
     header = json.dumps({"version": _VERSION, "meta": meta or {}, "tensors": entries}).encode("utf-8")
-    with Path(path).open("wb") as handle:
-        handle.write(struct.pack("<Q", len(header)))
-        handle.write(header)
-        for blob in blobs:
-            handle.write(blob)
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with temp.open("wb") as handle:
+            handle.write(struct.pack("<Q", len(header)))
+            handle.write(header)
+            for blob in blobs:
+                handle.write(blob)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:

@@ -154,7 +154,7 @@ def _assemble_config(args) -> RunConfig:
     values = {}
     if args.config:
         # checked as a whole once the flags are merged in
-        values = parse_config_text(Path(args.config).read_text(encoding="utf-8"))
+        values = parse_config_text(data_mod.read_text(args.config))
     overrides = {
         "variant": args.variant,
         "shots": args.shots,
@@ -224,6 +224,10 @@ def cmd_ablate(args) -> int:
 def cmd_evaluate(args) -> int:
     model = load_model(args.checkpoint)
     dataset = data_mod.load_dataset(args.data)
+    try:
+        model.label_indices(dataset)
+    except ValueError as exc:
+        raise ValueError(f"{args.data}: {exc}") from None
     accuracy = evaluate(model, dataset)
     print(f"accuracy: {accuracy:.4f} ({len(dataset)} examples)")
     return 0

@@ -38,9 +38,6 @@ class LabeledDataset:
     def texts(self) -> list[str]:
         return [text for text, _ in self.examples]
 
-    def class_indices(self) -> list[int]:
-        return [self.label_map[label] for _, label in self.examples]
-
 
 @dataclass
 class FewShotSplit:
@@ -55,22 +52,27 @@ class FewShotSplit:
     test_indices: list[int] = field(default_factory=list)
 
 
+def read_text(path: str | Path) -> str:
+    """Contents of a UTF-8 text file; any other encoding raises a ValueError naming the file."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def load_dataset(path: str | Path, domain: str = "unspecified") -> LabeledDataset:
     """Parse `label<TAB>text` records; label indices in first-appearance order."""
-    path = Path(path)
     examples: list[tuple[str, str]] = []
     label_map: dict[str, int] = {}
-    with path.open(encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            label, sep, text = line.partition("\t")
-            if not sep or not label:
-                raise ValueError(f"{path}:{lineno}: expected label<TAB>text, got {line!r}")
-            if label not in label_map:
-                label_map[label] = len(label_map)
-            examples.append((text, label))
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        label, sep, text = line.partition("\t")
+        if not sep or not label:
+            raise ValueError(f"{path}:{lineno}: expected label<TAB>text, got {line!r}")
+        if label not in label_map:
+            label_map[label] = len(label_map)
+        examples.append((text, label))
     if not examples:
         raise ValueError(f"{path}: dataset is empty")
     return LabeledDataset(examples, label_map, domain)
@@ -243,7 +245,7 @@ def write_corpus(path: str | Path, documents: list[str]) -> None:
 
 
 def read_corpus(path: str | Path) -> list[str]:
-    return [line for line in Path(path).read_text(encoding="utf-8").splitlines() if line.strip()]
+    return [line for line in read_text(path).splitlines() if line.strip()]
 
 
 def bag_of_keywords_accuracy(task: SyntheticTask, dataset: LabeledDataset) -> float:

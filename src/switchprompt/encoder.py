@@ -70,12 +70,40 @@ class EncoderConfig:
             raise ValueError(f"unknown activation {self.activation!r}")
 
 
+def weight_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
+    """Every backbone tensor's name and shape, in init and checkpoint order."""
+    e, f = config.embed_dim, config.ffn_dim
+    layer = {
+        "wq": (e, e), "bq": (e,), "wk": (e, e), "bk": (e,), "wv": (e, e), "bv": (e,),
+        "wo": (e, e), "bo": (e,), "ln1_gain": (e,), "ln1_bias": (e,),
+        "w1": (e, f), "b1": (f,), "w2": (f, e), "b2": (e,), "ln2_gain": (e,), "ln2_bias": (e,),
+    }
+    shapes = {"token_emb": (config.vocab_size, e), "pos_emb": (config.max_seq_len, e)}
+    for i in range(config.num_layers):
+        prefix = f"layer{i}."
+        for name, shape in layer.items():
+            shapes[prefix + name] = shape
+    shapes.update({"final_ln.gain": (e,), "final_ln.bias": (e,)})
+    return shapes
+
+
+def _check_shapes(arrays, shapes: dict[str, tuple[int, ...]]) -> None:
+    """Raise a ValueError naming the tensors of `shapes` that `arrays` lacks or holds misshaped."""
+    missing = [name for name in shapes if name not in arrays]
+    if missing:
+        raise ValueError(f"missing tensors {', '.join(missing)}")
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ValueError(
+                f"tensor {name} has shape {list(arrays[name].shape)}, expected {list(shape)}"
+            )
+
+
 class EncoderWeights:
     """Named weight tensors plus the frozen flag.
 
-    Tensor names are stable (used by the checkpoint format): ``token_emb``,
-    ``pos_emb``, ``layer{i}.{wq,bq,wk,bk,wv,bv,wo,bo,ln1_gain,ln1_bias,
-    w1,b1,w2,b2,ln2_gain,ln2_bias}`` and ``final_ln.{gain,bias}``.
+    Names and shapes come from :func:`weight_shapes` (the checkpoint format
+    uses them); ``from_arrays`` checks outside arrays against it.
     """
 
     def __init__(self, config: EncoderConfig, tensors: dict[str, Tensor], frozen: bool = True):
@@ -86,43 +114,24 @@ class EncoderWeights:
 
     @classmethod
     def init(cls, config: EncoderConfig, seed: int = 0, frozen: bool = True) -> "EncoderWeights":
+        """Matrices drawn normal(0, init_std) in table order, gains one, biases zero."""
         rng = np.random.default_rng(seed)
-        e, f = config.embed_dim, config.ffn_dim
-
-        def normal(*shape):
-            return Tensor(rng.normal(0.0, config.init_std, size=shape))
-
-        def zeros(*shape):
-            return Tensor(np.zeros(shape))
-
-        def ones(*shape):
-            return Tensor(np.ones(shape))
-
-        tensors: dict[str, Tensor] = {
-            "token_emb": normal(config.vocab_size, e),
-            "pos_emb": normal(config.max_seq_len, e),
-        }
-        for i in range(config.num_layers):
-            p = f"layer{i}."
-            tensors[p + "wq"] = normal(e, e)
-            tensors[p + "bq"] = zeros(e)
-            tensors[p + "wk"] = normal(e, e)
-            tensors[p + "bk"] = zeros(e)
-            tensors[p + "wv"] = normal(e, e)
-            tensors[p + "bv"] = zeros(e)
-            tensors[p + "wo"] = normal(e, e)
-            tensors[p + "bo"] = zeros(e)
-            tensors[p + "ln1_gain"] = ones(e)
-            tensors[p + "ln1_bias"] = zeros(e)
-            tensors[p + "w1"] = normal(e, f)
-            tensors[p + "b1"] = zeros(f)
-            tensors[p + "w2"] = normal(f, e)
-            tensors[p + "b2"] = zeros(e)
-            tensors[p + "ln2_gain"] = ones(e)
-            tensors[p + "ln2_bias"] = zeros(e)
-        tensors["final_ln.gain"] = ones(e)
-        tensors["final_ln.bias"] = zeros(e)
+        tensors: dict[str, Tensor] = {}
+        for name, shape in weight_shapes(config).items():
+            if name.endswith("gain"):
+                tensors[name] = Tensor(np.ones(shape))
+            elif len(shape) == 2:
+                tensors[name] = Tensor(rng.normal(0.0, config.init_std, size=shape))
+            else:
+                tensors[name] = Tensor(np.zeros(shape))
         return cls(config, tensors, frozen=frozen)
+
+    @classmethod
+    def from_arrays(cls, config: EncoderConfig, arrays: dict[str, np.ndarray]) -> "EncoderWeights":
+        """Frozen inverse of ``named_arrays``; names outside the table are ignored."""
+        shapes = weight_shapes(config)
+        _check_shapes(arrays, shapes)
+        return cls(config, {name: Tensor(arrays[name]) for name in shapes})
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -183,17 +192,13 @@ class TransformerEncoder:
         rng: DropoutRng | None = None,
         lengths: Sequence[int] | None = None,
     ) -> tuple[Tensor, Tensor]:
-        """Forward pass without prompts; returns (CLS vectors, all final states).
+        """Forward pass without prompts; returns (B, e) CLS vectors and (B, T, e) states.
 
-        A 1-D id list is one sequence: the results are (e,) and (T, e). A
-        (B, T) id array with `lengths` (default: all T) gives (B, e) and
-        (B, T, e).
+        Ids are a (B, T) array with per-example `lengths` (default: all T); a
+        1-D id list is read as one row.
         """
-        ids, lengths, single = self._check_ids(token_ids, lengths, 0)
+        ids, lengths = self._check_ids(token_ids, lengths, 0)
         states = self._forward(ids, lengths, None, train, rng)
-        if single:
-            states = ag.reshape(states, states.shape[1:])
-            return ag.reshape(ag.slice_rows(states, 0, 1), (self.config.embed_dim,)), states
         return self._cls(states), states
 
     def encode_prompted(
@@ -204,11 +209,10 @@ class TransformerEncoder:
         rng: DropoutRng | None = None,
         lengths: Sequence[int] | None = None,
     ) -> Tensor:
-        """Forward pass with one key/value prompt per layer; returns CLS.
+        """Forward pass with one key/value prompt per layer; returns (B, e) CLS vectors.
 
         Each prompt is (l, e), shared by the batch, or (B, l, e). Ids and
-        lengths are as for :meth:`encode_plain`; the result is (e,) for a
-        1-D id list and (B, e) otherwise.
+        lengths are as for :meth:`encode_plain`.
         """
         if len(layer_prompts) != self.config.num_layers:
             raise ValueError(
@@ -221,7 +225,7 @@ class TransformerEncoder:
         prompt_lens = {p.shape[-2] for p in layer_prompts}
         if len(prompt_lens) != 1:
             raise ValueError(f"layer prompts disagree on length: {sorted(prompt_lens)}")
-        ids, lengths, single = self._check_ids(token_ids, lengths, prompt_lens.pop())
+        ids, lengths = self._check_ids(token_ids, lengths, prompt_lens.pop())
         batch = ids.shape[0]
         prompts = []
         for i, p in enumerate(layer_prompts):
@@ -231,18 +235,14 @@ class TransformerEncoder:
                 # broadcast a shared prompt over the batch; its gradient sums back
                 p = ag.mul(p, Tensor(np.ones((batch, 1, 1))))
             prompts.append(p)
-        cls = self._cls(self._forward(ids, lengths, prompts, train, rng))
-        return ag.reshape(cls, (e,)) if single else cls
+        return self._cls(self._forward(ids, lengths, prompts, train, rng))
 
     # -- internals -----------------------------------------------------------
 
     def _check_ids(self, token_ids, lengths, prompt_len: int):
-        """Validated (B, T) ids trimmed to the longest length, lengths, and B = 1 flag."""
+        """Validated (B, T) ids trimmed to the longest length, and their lengths."""
         cfg = self.config
-        ids = np.asarray(token_ids, dtype=np.int64)
-        single = ids.ndim == 1
-        if single:
-            ids = ids[None, :]
+        ids = np.atleast_2d(np.asarray(token_ids, dtype=np.int64))
         if ids.ndim != 2 or ids.size == 0:
             raise ValueError("token ids must be a non-empty 1-D id list or a (B, T) id array")
         batch, width = ids.shape
@@ -265,7 +265,7 @@ class TransformerEncoder:
             )
         if not valid.all():
             ids = np.where(valid, ids, CLS_ID)
-        return ids, lengths, single
+        return ids, lengths
 
     def _cls(self, states: Tensor) -> Tensor:
         return ag.reshape(ag.slice_cols(states, 0, 1), (states.shape[0], self.config.embed_dim))
@@ -334,7 +334,7 @@ class TransformerEncoder:
 
 
 class ClassificationHead:
-    """Always-trainable linear head over the CLS vector."""
+    """Always-trainable linear head over a (B, e) batch of CLS vectors."""
 
     def __init__(self, projection: Tensor, bias: Tensor, dropout_rate: float = 0.1):
         self.projection = projection
@@ -351,23 +351,29 @@ class ClassificationHead:
         bias = Tensor(np.zeros(num_classes))
         return cls(proj, bias, dropout_rate)
 
+    @classmethod
+    def from_arrays(
+        cls, arrays: dict[str, np.ndarray], embed_dim: int, num_classes: int, dropout_rate: float
+    ) -> "ClassificationHead":
+        """Inverse of ``named_arrays``; names a tensor `arrays` lacks or holds misshaped."""
+        shapes = {"head.weight": (embed_dim, num_classes), "head.bias": (num_classes,)}
+        _check_shapes(arrays, shapes)
+        return cls(Tensor(arrays["head.weight"]), Tensor(arrays["head.bias"]), dropout_rate)
+
     @property
     def num_classes(self) -> int:
         return self.bias.shape[0]
 
     def __call__(self, x: Tensor, train: bool = False, rng: DropoutRng | None = None) -> Tensor:
-        """logits = dropout(x) @ projection + bias; accepts (e,) or (batch, e)."""
-        single = len(x.shape) == 1
-        if single:
-            x = ag.reshape(x, (1, x.shape[0]))
+        """(B, classes) logits = dropout(x) @ projection + bias for (B, e) input."""
         x = ag.dropout(x, self.dropout_rate, rng, train)
-        logits = ag.add(ag.matmul(x, self.projection), self.bias)
-        if single:
-            logits = ag.reshape(logits, (self.num_classes,))
-        return logits
+        return ag.add(ag.matmul(x, self.projection), self.bias)
 
     def parameters(self) -> list[Tensor]:
         return [self.projection, self.bias]
+
+    def named_arrays(self) -> dict[str, np.ndarray]:
+        return {"head.weight": self.projection.data, "head.bias": self.bias.data}
 
 
 def trainable_parameter_count(weights: EncoderWeights | None, head, prompt_state) -> int:
@@ -411,7 +417,7 @@ def pretrain_masked_token(
         target = int(ids[pos])
         ids[pos] = MASK_ID
         _, states = encoder.encode_plain(ids)
-        hidden = ag.slice_rows(states, pos, pos + 1)
+        hidden = ag.reshape(ag.slice_cols(states, pos, pos + 1), (1, states.shape[2]))
         logits = ag.matmul(hidden, ag.transpose(token_emb))
         loss = ag.softmax_cross_entropy(logits, [target])
         opt.zero_grad()

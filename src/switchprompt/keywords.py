@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+from .data import read_text
 from .tokenizer import Tokenizer, tokenize
 
 
@@ -99,11 +100,10 @@ def vectorize_keywords(
         for word in keywords.words:
             if method == "embedding":
                 ids = tokenizer.token_ids(word)
-                vec = ag.mean_axis(ag.embedding(encoder.weights["token_emb"], ids), axis=0)
+                vec = ag.mean_axis(ag.embedding(encoder.weights["token_emb"], ids), axis=0).data
             else:
-                cls_vec, _ = encoder.encode_plain(tokenizer.encode(word))
-                vec = cls_vec
-            rows.append(vec.data)
+                vec = encoder.encode_plain(tokenizer.encode(word))[0].data[0]
+            rows.append(vec)
     return Tensor(np.stack(rows, axis=0))
 
 
@@ -115,7 +115,7 @@ def write_keywords(path: str | Path, keywords: KeywordSet) -> None:
 
 def read_keywords(path: str | Path, alpha: float = -1.0) -> KeywordSet:
     words, scores = [], []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")

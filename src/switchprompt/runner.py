@@ -32,7 +32,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import DropoutRng, Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import FewShotSplit, LabeledDataset, read_corpus
+from .data import FewShotSplit, LabeledDataset, read_corpus, read_text
 from .encoder import (
     ClassificationHead,
     EncoderConfig,
@@ -163,25 +163,32 @@ _CONFIG_TYPES = {
 
 
 def parse_config_text(text: str) -> dict:
-    """`key = value` lines; values are parsed as JSON when possible."""
+    """`key = value` lines; values are parsed as JSON when possible, `#` starts a comment."""
     values: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        line = raw.strip()
+        if not line or line.startswith("#"):
             continue
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"config line {lineno}: expected key = value, got {raw!r}")
-        key, value = key.strip(), value.strip()
-        try:
-            values[key] = json.loads(value)
-        except json.JSONDecodeError:
-            values[key] = value
+        values[key.strip()] = _parse_value(value.strip())
     return values
 
 
+def _parse_value(value: str):
+    """A JSON value with an optional trailing comment, else the text before any `#`."""
+    try:
+        parsed, end = json.JSONDecoder().raw_decode(value)
+        if value[end:].lstrip()[:1] in ("", "#"):
+            return parsed
+    except json.JSONDecodeError:
+        pass
+    return value.split("#", 1)[0].strip()
+
+
 def load_config(path: str | Path) -> RunConfig:
-    return RunConfig.from_dict(parse_config_text(Path(path).read_text(encoding="utf-8")))
+    return RunConfig.from_dict(parse_config_text(read_text(path)))
 
 
 @dataclass
@@ -283,6 +290,16 @@ class PromptedClassifier:
         cls = self.encoder.encode_prompted(ids, prompts, train=train, rng=rng, lengths=lengths)
         return self.head(cls, train=train, rng=rng)
 
+    def label_indices(self, dataset: LabeledDataset) -> list[int]:
+        """The model's class index of each example's label."""
+        unknown = [label for _, label in dataset.examples if label not in self.label_map]
+        if unknown:
+            raise ValueError(
+                f"label-space mismatch: dataset labels {sorted(set(unknown))} "
+                f"unknown to the model ({self.label_names})"
+            )
+        return [self.label_map[label] for _, label in dataset.examples]
+
     def predict(self, texts: list[str]) -> np.ndarray:
         with ag.no_grad():
             return np.argmax(self.logits(texts).data, axis=1)
@@ -308,7 +325,7 @@ def _evaluate(model: PromptedClassifier, dataset: LabeledDataset) -> tuple[float
     """
     if not dataset.examples:
         raise ValueError("cannot evaluate on an empty dataset")
-    labels = np.asarray(_class_indices(model, dataset))
+    labels = np.asarray(model.label_indices(dataset))
     texts = dataset.texts()
     lengths = np.array([len(model._ids(text)) for text in texts])
     order = np.argsort(lengths, kind="stable")
@@ -324,16 +341,6 @@ def _evaluate(model: PromptedClassifier, dataset: LabeledDataset) -> tuple[float
             start = stop
         loss = ag.softmax_cross_entropy(Tensor(logits), labels).item()
     return float((np.argmax(logits, axis=1) == labels).mean()), loss
-
-
-def _class_indices(model: PromptedClassifier, dataset: LabeledDataset) -> list[int]:
-    unknown = [label for _, label in dataset.examples if label not in model.label_map]
-    if unknown:
-        raise ValueError(
-            f"label-space mismatch: dataset labels {sorted(set(unknown))} "
-            f"unknown to the model ({model.label_names})"
-        )
-    return [model.label_map[label] for _, label in dataset.examples]
 
 
 def _build_backbone(config: RunConfig, split: FewShotSplit, keyword_set: KeywordSet | None):
@@ -453,7 +460,7 @@ def _init_seed_model(config, encoder, tokenizer, kw_vectors, label_names, seed, 
 
 def _train_one_seed(config, split, model, opt, sched, seed, records) -> dict:
     train_set = split.train
-    labels = _class_indices(model, train_set)
+    labels = model.label_indices(train_set)
     texts = train_set.texts()
     shuffle_rng = np.random.default_rng((seed, 22))
     drop = DropoutRng(seed)
@@ -526,10 +533,8 @@ def _record(variant, seed, epoch, part, accuracy, loss) -> dict:
 
 def _save_model(path: Path, config: RunConfig, model: PromptedClassifier, seed, seed_result) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    tensors: dict[str, np.ndarray] = dict(model.encoder.weights.named_arrays())
-    tensors.update(model.prompt_state.named_arrays())
-    tensors["head.weight"] = model.head.projection.data
-    tensors["head.bias"] = model.head.bias.data
+    weights, state, head = model.encoder.weights, model.prompt_state, model.head
+    tensors = {**weights.named_arrays(), **state.named_arrays(), **head.named_arrays()}
     meta = {
         "config": config.to_dict(),
         "vocab": model.tokenizer.id_to_word,
@@ -547,27 +552,20 @@ def load_model(path: str | Path) -> PromptedClassifier:
     for key, kind in (("config", dict), ("vocab", list), ("labels", list), ("variant", str)):
         if not isinstance(meta.get(key), kind):
             raise ValueError(f"{path}: checkpoint meta lacks {key!r} (a JSON {kind.__name__})")
-    missing = [name for name in ("head.weight", "head.bias") if name not in tensors]
-    if missing:
-        raise ValueError(f"{path}: checkpoint lacks tensors {', '.join(missing)}")
     try:
         config = RunConfig.from_dict(meta["config"])
         tokenizer = Tokenizer.from_full_vocab(meta["vocab"])
         enc_cfg = config.encoder_config(tokenizer.vocab_size)
+        weights = EncoderWeights.from_arrays(enc_cfg, tensors)
+        head = ClassificationHead.from_arrays(
+            tensors, config.embed_dim, len(meta["labels"]), config.head_dropout
+        )
         state = PromptState.from_arrays(
             meta["variant"], tensors, config.num_layers, config.train_keywords
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    backbone = {
-        name: Tensor(arr)
-        for name, arr in tensors.items()
-        if not name.startswith(("prompt.", "head."))
-    }
-    encoder = TransformerEncoder(enc_cfg, EncoderWeights(enc_cfg, backbone, frozen=True))
-    head = ClassificationHead(
-        Tensor(tensors["head.weight"]), Tensor(tensors["head.bias"]), config.head_dropout
-    )
+    encoder = TransformerEncoder(enc_cfg, weights)
     return PromptedClassifier(encoder, head, state, tokenizer, meta["labels"], config.gate_input)
 
 

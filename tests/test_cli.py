@@ -1,6 +1,8 @@
 """End-to-end CLI flows on a small synthetic task."""
 
 import json
+import math
+import re
 import struct
 
 import pytest
@@ -212,6 +214,11 @@ CORRUPTIONS = {
     "dtype-float32": edit_header(lambda h: h["tensors"]["head.bias"].update(dtype="float32")),
     "no-gate2": edit_header(lambda h: h["tensors"].pop("prompt.gate2")),
     "no-head": edit_header(lambda h: h["tensors"].pop("head.weight")),
+    "no-backbone-tensor": edit_header(lambda h: h["tensors"].pop("layer0.wq")),
+    "backbone-shape": edit_header(lambda h: h["tensors"]["layer0.wq"].update(
+        shape=[4, math.prod(h["tensors"]["layer0.wq"]["shape"]) // 4])),
+    "head-shape": edit_header(lambda h: h["tensors"]["head.weight"].update(
+        shape=h["tensors"]["head.weight"]["shape"][::-1])),
     **{
         f"meta-without-{key}": edit_header(lambda h, key=key: h["meta"].pop(key))
         for key in ("config", "vocab", "labels", "variant")
@@ -232,6 +239,65 @@ class TestCorruptCheckpoint:
         err = capsys.readouterr().err.splitlines()
         assert code == 1
         assert len(err) == 1 and str(path) in err[0], err
+
+    @pytest.mark.parametrize("kind, tensor", [
+        ("no-backbone-tensor", "layer0.wq"), ("backbone-shape", "layer0.wq"),
+        ("head-shape", "head.weight"),
+    ])
+    def test_tensor_errors_name_the_tensor(self, checkpoint_bytes, tmp_path, kind, tensor):
+        path = tmp_path / f"{kind}.bin"
+        path.write_bytes(CORRUPTIONS[kind](checkpoint_bytes))
+        with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*{re.escape(tensor)}"):
+            load_model(path)
+
+
+def dataset_labels(workspace):
+    lines = (workspace / "data" / "dataset.tsv").read_text(encoding="utf-8").splitlines()
+    return sorted({line.split("\t")[0] for line in lines})
+
+
+class TestEvaluateInputs:
+    def evaluate(self, checkpoint_bytes, tmp_path, data_path):
+        checkpoint = tmp_path / "model.bin"
+        checkpoint.write_bytes(checkpoint_bytes)
+        return main(["evaluate", "--checkpoint", str(checkpoint), "--data", str(data_path)])
+
+    def test_empty_and_overlong_texts_are_classified(self, workspace, checkpoint_bytes, tmp_path,
+                                                     capsys):
+        label = dataset_labels(workspace)[0]
+        data_path = tmp_path / "edge.tsv"
+        data_path.write_text(f"{label}\t\n{label}\t{' '.join(['word'] * 500)}\n", encoding="utf-8")
+        assert self.evaluate(checkpoint_bytes, tmp_path, data_path) == 0
+        captured = capsys.readouterr()
+        assert "accuracy:" in captured.out and "(2 examples)" in captured.out
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("content", [b"\xff\xfe\tnot utf-8\n", b"zzz\tan unknown label\n"],
+                             ids=["not-utf8", "unknown-label"])
+    def test_bad_dataset_is_a_one_line_error_naming_it(self, workspace, checkpoint_bytes,
+                                                       tmp_path, capsys, content):
+        data_path = tmp_path / "bad.tsv"
+        data_path.write_bytes(content)
+        assert self.evaluate(checkpoint_bytes, tmp_path, data_path) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(data_path) in err[0], err
+
+
+class TestNonUtf8Inputs:
+    @pytest.mark.parametrize("flag", ["--config", "--data", "--keywords", "--general"])
+    def test_one_line_error_naming_the_file(self, workspace, tmp_path, capsys, flag):
+        bad = tmp_path / "latin1.txt"
+        bad.write_bytes("caf\xe9\n".encode("latin-1"))
+        flags = run_flags(workspace)
+        if flag == "--config":
+            flags += ["--config", str(bad)]
+        else:
+            flags[flags.index(flag) + 1] = str(bad)
+        if flag == "--general":  # mined keywords read the corpora
+            del flags[flags.index("--keywords"): flags.index("--keywords") + 2]
+        assert main(["train"] + flags + ["--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and str(bad) in err[0] and "UTF-8" in err[0], err
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 """Encoder contracts: reference-oracle equality, frozen backbone, prompt paths."""
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from switchprompt.encoder import (
     pad_batch,
     pretrain_masked_token,
     trainable_parameter_count,
+    weight_shapes,
 )
 from switchprompt.gradcheck import check_gradients
 from switchprompt.optim import Adam
@@ -99,13 +101,13 @@ class TestEncodePlain:
             t.data = rng.normal(0.0, 0.5, size=t.data.shape)
         ids = [0, 3, 8, 5, 1]
         _, states = enc.encode_plain(ids)
-        np.testing.assert_allclose(states.data, reference_forward(enc, ids), atol=1e-9)
+        np.testing.assert_allclose(states.data, reference_forward(enc, ids)[None], atol=1e-9)
 
     def test_multi_layer_multi_head_matches_reference(self):
         enc = small_encoder(seed=3)
         ids = [0, 2, 11, 6]
         _, states = enc.encode_plain(ids)
-        np.testing.assert_allclose(states.data, reference_forward(enc, ids), atol=1e-9)
+        np.testing.assert_allclose(states.data, reference_forward(enc, ids)[None], atol=1e-9)
 
     def test_requires_cls_start(self):
         with pytest.raises(ValueError, match="CLS"):
@@ -148,7 +150,7 @@ class TestEncodePrompted:
         prompts = [Tensor(rng.standard_normal((3, 8))) for _ in range(2)]
         ids = [0, 1, 7, 4, 4]
         cls_vec = enc.encode_prompted(ids, prompts)
-        expected = reference_forward(enc, ids, [p.data for p in prompts])[0]
+        expected = reference_forward(enc, ids, [p.data for p in prompts])[:1]
         np.testing.assert_allclose(cls_vec.data, expected, atol=1e-9)
 
     def test_prompt_gradients_match_finite_differences(self):
@@ -209,8 +211,7 @@ class TestEncodePrompted:
             drop.begin_step(step)
             prompts = per_layer_prompts(state, s_input, 2)
             cls_vec = enc.encode_prompted([0, 4, 6], prompts, train=True, rng=drop)
-            batch = ag.reshape(cls_vec, (1, 8))
-            loss = ag.softmax_cross_entropy(head(batch, train=True, rng=drop), [step % 3])
+            loss = ag.softmax_cross_entropy(head(cls_vec, train=True, rng=drop), [step % 3])
             opt.zero_grad()
             ag.backward(loss)
             opt.step()
@@ -301,17 +302,17 @@ class TestClassificationHead:
         rng = np.random.default_rng(19)
         head = ClassificationHead.init(8, 3, 0.1, rng)
         head.bias.data = np.array([1.0, -2.0, 0.5])
-        logits = head(Tensor(np.zeros(8)))
-        np.testing.assert_array_equal(logits.data, head.bias.data)
+        logits = head(Tensor(np.zeros((1, 8))))
+        np.testing.assert_array_equal(logits.data, head.bias.data[None])
 
     def test_eval_mode_is_affine(self):
         rng = np.random.default_rng(20)
         head = ClassificationHead.init(6, 4, 0.5, rng)
-        x1, x2 = rng.standard_normal(6), rng.standard_normal(6)
+        x1, x2 = rng.standard_normal((1, 6)), rng.standard_normal((1, 6))
         l1 = head(Tensor(x1)).data
         l2 = head(Tensor(x2)).data
         l12 = head(Tensor(x1 + x2)).data
-        bias = head(Tensor(np.zeros(6))).data
+        bias = head(Tensor(np.zeros((1, 6)))).data
         np.testing.assert_allclose(l12, l1 + l2 - bias, atol=1e-12)
 
     def test_gradients_match_finite_differences(self):
@@ -377,6 +378,36 @@ class TestTrainableParameterCount:
         assert delta == 5 * 16
 
 
+class TestNamedArrays:
+    def test_weights_follow_the_shape_table_and_roundtrip(self):
+        enc = small_encoder(seed=29)
+        shapes = weight_shapes(enc.config)
+        assert {name: t.shape for name, t in enc.weights.tensors.items()} == shapes
+        assert list(enc.weights.tensors) == list(shapes)
+        loaded = EncoderWeights.from_arrays(enc.config, {**enc.weights.named_arrays(), "x": 0})
+        assert loaded.checksum() == enc.weights.checksum() and loaded.frozen
+
+    def test_weights_name_a_missing_or_misshaped_tensor(self):
+        enc = small_encoder()
+        arrays = dict(enc.weights.named_arrays())
+        del arrays["layer1.b2"]
+        with pytest.raises(ValueError, match="missing tensors layer1.b2"):
+            EncoderWeights.from_arrays(enc.config, arrays)
+        arrays["layer1.b2"] = np.zeros(9)
+        with pytest.raises(ValueError, match=r"layer1.b2 has shape \[9\], expected \[8\]"):
+            EncoderWeights.from_arrays(enc.config, arrays)
+
+    def test_head_roundtrips_and_checks_shapes(self):
+        head = ClassificationHead.init(8, 3, 0.2, np.random.default_rng(30))
+        loaded = ClassificationHead.from_arrays(head.named_arrays(), 8, 3, 0.2)
+        assert loaded.dropout_rate == 0.2
+        for a, b in zip(loaded.parameters(), head.parameters()):
+            np.testing.assert_array_equal(a.data, b.data)
+            assert a.requires_grad
+        with pytest.raises(ValueError, match="head.weight has shape"):
+            ClassificationHead.from_arrays(head.named_arrays(), 8, 4, 0.2)
+
+
 class TestCheckpointIO:
     def test_roundtrip_preserves_tensors_and_meta(self, tmp_path):
         enc = small_encoder(seed=27)
@@ -388,6 +419,20 @@ class TestCheckpointIO:
         assert set(tensors) == set(enc.weights.tensors)
         for name, arr in tensors.items():
             np.testing.assert_array_equal(arr, enc.weights[name].data)
+
+    def test_failed_save_keeps_the_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "weights.bin"
+        save_checkpoint(path, {"a": np.ones(3)}, {"note": "old"})
+        before = path.read_bytes()
+
+        def fail(*args):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(path, {"a": np.zeros(5)}, {"note": "new"})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["weights.bin"]
 
     def test_rejects_garbage(self, tmp_path):
         bad = tmp_path / "bad.bin"

@@ -333,6 +333,36 @@ class TestConfigParsing:
         assert cfg.epochs == 3
         assert cfg.seeds == [7]
 
+    def test_hash_inside_a_json_string_is_not_a_comment(self):
+        values = parse_config_text('out_dir = "runs/#2"  # trailing comment\nlr = 0.5 # rate')
+        assert values == {"out_dir": "runs/#2", "lr": 0.5}
+
+    EVERY_KEY_CHANGED = dict(
+        variant="concat-kv", embed_dim=16, num_layers=3, num_heads=4, ffn_dim=48,
+        max_seq_len=96, encoder_dropout=0.2, activation="relu", vocab_cap=500,
+        soft_prompt_len=4, num_keywords=5, alpha=-0.5, train_keywords=True,
+        gate_input="prompted", keyword_vector_mode="cls", batch_size=8, head_dropout=0.0,
+        epochs=12, lr=0.02, lr_gamma=0.9, adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-6,
+        grad_clip=0.5, seeds=[3, 1], freeze_backbone=False, backbone_init="mlm",
+        backbone_seed=7, backbone_init_std=0.25, mlm_steps=50, mlm_lr=2e-3, shots=8,
+        split_seed=4, general_corpus="corpora/general.txt", domain_corpus="corpora/domain.txt",
+        dataset="data/tasks.tsv", keywords_file="kw.tsv", out_dir="runs/#2",
+        save_checkpoints=False,
+    )
+
+    @pytest.mark.parametrize("values", [{}, EVERY_KEY_CHANGED], ids=["defaults", "every-key"])
+    def test_config_text_roundtrips(self, tmp_path, values):
+        config = RunConfig(**values)
+        text = "".join(f"{key} = {json.dumps(value)}\n" for key, value in config.to_dict().items())
+        path = tmp_path / "run.cfg"
+        path.write_text(text, encoding="utf-8")
+        assert load_config(path) == config
+
+    def test_every_key_changed_covers_every_key(self):
+        defaults = RunConfig().to_dict()
+        assert set(self.EVERY_KEY_CHANGED) == set(defaults)
+        assert all(self.EVERY_KEY_CHANGED[key] != defaults[key] for key in defaults)
+
 
 class TestBenchmarkHooks:
     """Names the benchmark's tracer patches on ``runner`` or reads from prompt states."""
