@@ -115,3 +115,15 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
                 f"{path}: tensor {name!r}: shape {shape!r} is not a list of sizes"
             ) from None
     return tensors, meta
+
+
+def check_shapes(arrays, shapes: dict[str, tuple[int, ...]]) -> None:
+    """Raise a ValueError naming the tensors of `shapes` that `arrays` lacks or holds misshaped."""
+    missing = [name for name in shapes if name not in arrays]
+    if missing:
+        raise ValueError(f"missing tensors {', '.join(missing)}")
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ValueError(
+                f"tensor {name} has shape {list(arrays[name].shape)}, expected {list(shape)}"
+            )

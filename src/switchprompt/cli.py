@@ -8,6 +8,7 @@ evaluate, ablate, gradcheck. Run-level commands read an optional
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -25,6 +26,8 @@ from .runner import (
     parse_config_text,
     train,
 )
+
+CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -70,24 +73,26 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("train", "ablate"):
         p = sub.add_parser(name, help=f"{name} on a few-shot split")
         p.add_argument("--config", help="key = value config file")
-        p.add_argument("--data", help="dataset file (overrides config)")
-        p.add_argument("--general", help="general corpus file (overrides config)")
-        p.add_argument("--domain", help="domain corpus file (overrides config)")
-        p.add_argument("--keywords", help="keyword file; mined from the corpora if omitted")
+        # each flag's dest is the config key it overrides
+        p.add_argument("--data", dest="dataset", help="dataset file (overrides config)")
+        p.add_argument("--general", dest="general_corpus", help="general corpus file (overrides config)")
+        p.add_argument("--domain", dest="domain_corpus", help="domain corpus file (overrides config)")
+        p.add_argument("--keywords", dest="keywords_file",
+                       help="keyword file; mined from the corpora if omitted")
         p.add_argument("--variant")
         p.add_argument("--shots", type=int)
         p.add_argument("--split-seed", type=int)
         p.add_argument("--seeds", help="comma-separated run seeds, e.g. 0,1,2,3,4")
         p.add_argument("--alpha", type=float)
-        p.add_argument("--m", type=int, help="soft prompt length")
-        p.add_argument("--n", type=int, help="number of keywords")
+        p.add_argument("--m", dest="soft_prompt_len", type=int, help="soft prompt length")
+        p.add_argument("--n", dest="num_keywords", type=int, help="number of keywords")
         p.add_argument("--epochs", type=int)
         p.add_argument("--lr", type=float)
         p.add_argument("--backbone-init", choices=("random", "mlm"))
         freeze = p.add_mutually_exclusive_group()
-        freeze.add_argument("--freeze", dest="freeze", action="store_true", default=None)
-        freeze.add_argument("--no-freeze", dest="freeze", action="store_false")
-        p.add_argument("--out", help="output directory (overrides config)")
+        freeze.add_argument("--freeze", dest="freeze_backbone", action="store_true", default=None)
+        freeze.add_argument("--no-freeze", dest="freeze_backbone", action="store_false")
+        p.add_argument("--out", dest="out_dir", help="output directory (overrides config)")
         p.set_defaults(handler=cmd_train if name == "train" else cmd_ablate)
 
     p = sub.add_parser("evaluate", help="accuracy of a saved model on a dataset")
@@ -155,26 +160,11 @@ def _assemble_config(args) -> RunConfig:
     if args.config:
         # checked as a whole once the flags are merged in
         values = parse_config_text(data_mod.read_text(args.config))
-    overrides = {
-        "variant": args.variant,
-        "shots": args.shots,
-        "split_seed": args.split_seed,
-        "alpha": args.alpha,
-        "soft_prompt_len": args.m,
-        "num_keywords": args.n,
-        "epochs": args.epochs,
-        "lr": args.lr,
-        "backbone_init": args.backbone_init,
-        "freeze_backbone": args.freeze,
-        "dataset": args.data,
-        "general_corpus": args.general,
-        "domain_corpus": args.domain,
-        "keywords_file": args.keywords,
-        "out_dir": args.out,
-    }
+    flags = {key: value for key, value in vars(args).items()
+             if key in CONFIG_KEYS and value is not None}
     if args.seeds is not None:
-        overrides["seeds"] = [int(s) for s in str(args.seeds).split(",") if s != ""]
-    values.update({k: v for k, v in overrides.items() if v is not None})
+        flags["seeds"] = [int(s) for s in str(args.seeds).split(",") if s != ""]
+    values.update(flags)
     return RunConfig.from_dict(values)
 
 

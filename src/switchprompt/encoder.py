@@ -42,6 +42,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import DropoutRng, ExampleStreams, Tensor
+from .checkpoint import check_shapes
 from .tokenizer import CLS_ID, MASK_ID
 
 INIT_STD = 0.02
@@ -87,18 +88,6 @@ def weight_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def _check_shapes(arrays, shapes: dict[str, tuple[int, ...]]) -> None:
-    """Raise a ValueError naming the tensors of `shapes` that `arrays` lacks or holds misshaped."""
-    missing = [name for name in shapes if name not in arrays]
-    if missing:
-        raise ValueError(f"missing tensors {', '.join(missing)}")
-    for name, shape in shapes.items():
-        if arrays[name].shape != shape:
-            raise ValueError(
-                f"tensor {name} has shape {list(arrays[name].shape)}, expected {list(shape)}"
-            )
-
-
 class EncoderWeights:
     """Named weight tensors plus the frozen flag.
 
@@ -130,7 +119,7 @@ class EncoderWeights:
     def from_arrays(cls, config: EncoderConfig, arrays: dict[str, np.ndarray]) -> "EncoderWeights":
         """Frozen inverse of ``named_arrays``; names outside the table are ignored."""
         shapes = weight_shapes(config)
-        _check_shapes(arrays, shapes)
+        check_shapes(arrays, shapes)
         return cls(config, {name: Tensor(arrays[name]) for name in shapes})
 
     def __getitem__(self, name: str) -> Tensor:
@@ -357,7 +346,7 @@ class ClassificationHead:
     ) -> "ClassificationHead":
         """Inverse of ``named_arrays``; names a tensor `arrays` lacks or holds misshaped."""
         shapes = {"head.weight": (embed_dim, num_classes), "head.bias": (num_classes,)}
-        _check_shapes(arrays, shapes)
+        check_shapes(arrays, shapes)
         return cls(Tensor(arrays["head.weight"]), Tensor(arrays["head.bias"]), dropout_rate)
 
     @property

@@ -1,4 +1,4 @@
-"""Adam with exponential learning-rate decay and global-norm clipping."""
+"""Adam and global-norm gradient clipping."""
 
 from __future__ import annotations
 
@@ -40,20 +40,6 @@ class Adam:
             v *= self.beta2
             v += (1.0 - self.beta2) * g * g
             p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-
-class ExponentialDecay:
-    """Per-epoch schedule: after k calls to step(), lr equals lr0 * gamma**k."""
-
-    def __init__(self, optimizer: Adam, gamma: float = 0.95):
-        self.optimizer = optimizer
-        self.gamma = float(gamma)
-        self.base_lr = optimizer.lr
-        self.epoch = 0
-
-    def step(self) -> None:
-        self.epoch += 1
-        self.optimizer.lr = self.base_lr * self.gamma**self.epoch
 
 
 def clip_global_norm(params: list[Tensor], max_norm: float) -> float:

@@ -39,6 +39,7 @@ import numpy as np
 
 from . import autograd as ag
 from .autograd import Tensor
+from .checkpoint import check_shapes
 
 INIT_STD = 0.02
 
@@ -102,67 +103,60 @@ VARIANT_ORDERS: dict[Variant, tuple[str, ...]] = {
 }
 
 
+def prompt_shapes(
+    variant: Variant, num_layers: int, m: int, n: int, e: int
+) -> dict[str, tuple[int, ...]]:
+    """Every prompt tensor's name and shape, in the order Adam, clipping and checkpoints see them."""
+    shapes = {f"prompt.layer{i}.soft": (m, e) for i in range(num_layers)} if variant.uses("V") else {}
+    if variant.uses("K"):
+        shapes["prompt.keywords"] = (n, e)
+    if variant.uses_gate1:
+        shapes["prompt.gate1"] = (e,)
+    if variant.uses_gate2:
+        shapes["prompt.gate2"] = (e,)
+    return shapes
+
+
 class PromptState:
-    """Trainable prompt parameters for one variant.
+    """Trainable prompt parameters for one variant, by the names of ``prompt_shapes``.
 
     ``soft_prompts`` holds one (m, e) matrix per encoder layer; the keyword
     matrix (n, e) is shared across layers and stays fixed unless
     ``train_keywords`` was requested. A tensor exists only for the variants
-    whose table row uses it.
+    whose table row uses it; the others are None.
     """
 
-    def __init__(
-        self,
-        variant: Variant,
-        soft_prompts: list[Tensor] | None,
-        keyword_vectors: Tensor | None,
-        gate1_weights: Tensor | None,
-        gate2_weights: Tensor | None,
-    ):
+    def __init__(self, variant: Variant, tensors: dict[str, Tensor]):
         self.variant = variant
-        self.soft_prompts = soft_prompts
-        self.keyword_vectors = keyword_vectors
-        self.gate1_weights = gate1_weights
-        self.gate2_weights = gate2_weights
-        m = soft_prompts[0].shape[0] if soft_prompts else 0
-        n = keyword_vectors.shape[0] if keyword_vectors is not None else 0
+        self.tensors = tensors
+        self.soft_prompts = [t for name, t in tensors.items() if name.endswith(".soft")] or None
+        self.keyword_vectors = tensors.get("prompt.keywords")
+        self.gate1_weights = tensors.get("prompt.gate1")
+        self.gate2_weights = tensors.get("prompt.gate2")
+        m = self.soft_prompts[0].shape[0] if self.soft_prompts else 0
+        n = self.keyword_vectors.shape[0] if self.keyword_vectors is not None else 0
         self.prompt_len = variant.prompt_len(m, n)
 
-    def named_tensors(self) -> dict[str, Tensor]:
-        """Every prompt tensor by checkpoint name, in the order Adam and clipping see them."""
-        named = {f"prompt.layer{i}.soft": p for i, p in enumerate(self.soft_prompts or ())}
-        named.update({"prompt.keywords": self.keyword_vectors, "prompt.gate1": self.gate1_weights,
-                      "prompt.gate2": self.gate2_weights})
-        return {name: t for name, t in named.items() if t is not None}
-
     def parameters(self) -> list[Tensor]:
-        return [t for t in self.named_tensors().values() if t.requires_grad]
+        return [t for t in self.tensors.values() if t.requires_grad]
 
     def named_arrays(self) -> dict[str, np.ndarray]:
-        return {name: t.data for name, t in self.named_tensors().items()}
+        return {name: t.data for name, t in self.tensors.items()}
 
     @classmethod
     def from_arrays(cls, variant: "str | Variant", arrays: dict[str, np.ndarray], num_layers: int,
-                    train_keywords: bool = False) -> "PromptState":
-        """Inverse of ``named_arrays``; names every tensor the variant needs and `arrays` lacks."""
+                    m: int, n: int, e: int, train_keywords: bool = False) -> "PromptState":
+        """Inverse of ``named_arrays``; names every tensor that `arrays` lacks or holds misshaped."""
         variant = Variant.parse(variant)
-        missing: list[str] = []
-
-        def take(name: str, requires_grad: bool = True) -> Tensor | None:
-            if name not in arrays:
-                missing.append(name)
-                return None
-            return Tensor(arrays[name], requires_grad=requires_grad)
-
-        soft = None
-        if variant.uses("V"):
-            soft = [take(f"prompt.layer{i}.soft") for i in range(num_layers)]
-        kw = take("prompt.keywords", train_keywords) if variant.uses("K") else None
-        g1 = take("prompt.gate1") if variant.uses_gate1 else None
-        g2 = take("prompt.gate2") if variant.uses_gate2 else None
+        shapes = prompt_shapes(variant, num_layers, m, n, e)
+        missing = [name for name in shapes if name not in arrays]
         if missing:
             raise ValueError(f"variant {variant.value} needs prompt tensors {', '.join(missing)}")
-        return cls(variant, soft, kw, g1, g2)
+        check_shapes(arrays, shapes)
+        return cls(variant, {
+            name: Tensor(arrays[name], requires_grad=name != "prompt.keywords" or train_keywords)
+            for name in shapes
+        })
 
 
 def init_prompt_state(
@@ -174,34 +168,24 @@ def init_prompt_state(
     rng: np.random.Generator,
     train_keywords: bool = False,
 ) -> PromptState:
-    """Fresh prompt parameters (normal, std 0.02) for the given variant."""
+    """Fresh prompt parameters (normal, std 0.02) for the given variant, drawn in table order."""
     variant = Variant.parse(variant)
-
-    soft = None
-    if variant.uses("V"):
-        if soft_len < 1:
-            raise ValueError(f"variant {variant.value} needs soft_len >= 1, got {soft_len}")
-        soft = [
-            Tensor(rng.normal(0.0, INIT_STD, size=(soft_len, embed_dim)), requires_grad=True)
-            for _ in range(num_layers)
-        ]
-
+    if variant.uses("V") and soft_len < 1:
+        raise ValueError(f"variant {variant.value} needs soft_len >= 1, got {soft_len}")
     kw = None
     if variant.uses("K"):
         if keyword_vectors is None:
             raise ValueError(f"variant {variant.value} needs keyword vectors")
-        data = keyword_vectors.data if isinstance(keyword_vectors, Tensor) else keyword_vectors
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim != 2 or data.shape[1] != embed_dim:
-            raise ValueError(f"keyword vectors shape {data.shape} incompatible with embed_dim {embed_dim}")
-        kw = Tensor(data.copy(), requires_grad=train_keywords)
-
-    g1 = g2 = None
-    if variant.uses_gate1:
-        g1 = Tensor(rng.normal(0.0, INIT_STD, size=(embed_dim,)), requires_grad=True)
-    if variant.uses_gate2:
-        g2 = Tensor(rng.normal(0.0, INIT_STD, size=(embed_dim,)), requires_grad=True)
-    return PromptState(variant, soft, kw, g1, g2)
+        kw = np.array(getattr(keyword_vectors, "data", keyword_vectors), dtype=np.float64)
+    shapes = prompt_shapes(variant, num_layers, soft_len, len(kw) if kw is not None else 0, embed_dim)
+    tensors = {}
+    for name, shape in shapes.items():
+        if name == "prompt.keywords":
+            check_shapes({name: kw}, {name: shape})
+            tensors[name] = Tensor(kw, requires_grad=train_keywords)
+        else:
+            tensors[name] = Tensor(rng.normal(0.0, INIT_STD, size=shape), requires_grad=True)
+    return PromptState(variant, tensors)
 
 
 def pad_prompt(prompt: Tensor, length: int) -> Tensor:

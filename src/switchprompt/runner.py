@@ -40,10 +40,9 @@ from .encoder import (
     TransformerEncoder,
     pad_batch,
     pretrain_masked_token,
-    trainable_parameter_count,
 )
 from .keywords import KeywordSet, vectorize_keywords
-from .optim import Adam, ExponentialDecay, clip_global_norm
+from .optim import Adam, clip_global_norm
 from .prompts import (
     PromptState,
     Variant,
@@ -112,6 +111,18 @@ class RunConfig:
             )
         variant = Variant.parse(self.variant)
         for key, ok, rule in (
+            ("embed_dim", self.embed_dim >= 1, ">= 1"),
+            ("num_layers", self.num_layers >= 1, ">= 1"),
+            ("num_heads", self.num_heads >= 1, ">= 1"),
+            ("num_heads", self.num_heads >= 1 and self.embed_dim % self.num_heads == 0,
+             f"a divisor of embed_dim {self.embed_dim}"),
+            ("activation", self.activation in ("gelu", "relu"), "gelu or relu"),
+            ("soft_prompt_len", self.soft_prompt_len >= 1 or not variant.uses("V"),
+             f">= 1 for variant {variant.value}"),
+            ("num_keywords", self.num_keywords >= 1 or not variant.uses("K"),
+             f">= 1 for variant {variant.value}"),
+            ("shots", self.shots >= 1, ">= 1"),
+            ("epochs", self.epochs >= 0, ">= 0"),
             ("gate_input", self.gate_input in ("plain", "prompted"), "plain or prompted"),
             ("backbone_init", self.backbone_init in ("random", "mlm"), "random or mlm"),
             ("keyword_vector_mode", self.keyword_vector_mode in ("embedding", "cls"),
@@ -392,29 +403,29 @@ def train(
 
     label_names = list(split.train.label_map)
     records: list[dict] = []
-    dev_accs, test_accs, best_epochs, epoch_times = [], [], [], []
-    params_count = None
+    seed_results: list[dict] = []
     repr_cache: dict[str, np.ndarray] = {}
-
     for seed in config.seeds:
         if not config.freeze_backbone:
             # an unfrozen backbone is mutated by training: every seed gets a
             # fresh, identically initialized copy
             tokenizer, encoder = _build_backbone(config, split, keyword_set)
-        shared_cache = repr_cache if config.gate_input == "plain" else None
-        model, opt, sched = _init_seed_model(
-            config, encoder, tokenizer, kw_vectors, label_names, seed, shared_cache
+        rng = np.random.default_rng((seed, 11))  # the prompts, then the head
+        state = init_prompt_state(
+            config.variant, config.num_layers, config.embed_dim, config.soft_prompt_len,
+            kw_vectors, rng, config.train_keywords,
         )
-        if params_count is None:
-            params_count = trainable_parameter_count(encoder.weights, model.head, model.prompt_state)
-        seed_result = _train_one_seed(config, split, model, opt, sched, seed, records)
-        dev_accs.append(seed_result["dev"])
-        test_accs.append(seed_result["test"])
-        best_epochs.append(seed_result["best_epoch"])
-        epoch_times.append(seed_result["seconds_per_epoch"])
+        head = ClassificationHead.init(config.embed_dim, len(label_names), config.head_dropout, rng)
+        model = PromptedClassifier(
+            encoder, head, state, tokenizer, label_names, config.gate_input,
+            repr_cache if config.gate_input == "plain" else None,
+        )
+        seed_results.append(_train_one_seed(config, split, model, seed, records))
         if out_dir is not None and config.save_checkpoints:
-            _save_model(Path(out_dir) / f"model_seed{seed}.bin", config, model, seed, seed_result)
+            _save_model(Path(out_dir) / f"model_seed{seed}.bin", config, model, seed, seed_results[-1])
 
+    dev_accs = [r["dev"] for r in seed_results]
+    test_accs = [r["test"] for r in seed_results]
     result = RunResult(
         variant=variant.value,
         seeds=list(config.seeds),
@@ -423,9 +434,9 @@ def train(
         test_mean=float(np.mean(test_accs)),
         test_std=float(np.std(test_accs)),
         dev_mean=float(np.mean(dev_accs)),
-        best_epochs=best_epochs,
-        trainable_params=int(params_count),
-        seconds_per_epoch=float(np.mean(epoch_times)) if epoch_times else 0.0,
+        best_epochs=[r["best_epoch"] for r in seed_results],
+        trainable_params=sum(p.size for p in model.parameters()),
+        seconds_per_epoch=float(np.mean([r["seconds_per_epoch"] for r in seed_results])),
         config=config.to_dict(),
     )
     if out_dir is not None:
@@ -433,38 +444,16 @@ def train(
     return result
 
 
-def _init_seed_model(config, encoder, tokenizer, kw_vectors, label_names, seed, repr_cache=None):
-    rng = np.random.default_rng((seed, 11))
-    state = init_prompt_state(
-        config.variant,
-        num_layers=config.num_layers,
-        embed_dim=config.embed_dim,
-        soft_len=config.soft_prompt_len,
-        keyword_vectors=kw_vectors,
-        rng=rng,
-        train_keywords=config.train_keywords,
-    )
-    head = ClassificationHead.init(config.embed_dim, len(label_names), config.head_dropout, rng)
-    model = PromptedClassifier(
-        encoder, head, state, tokenizer, label_names, config.gate_input, repr_cache
-    )
-    opt = Adam(
-        model.parameters(),
-        lr=config.lr,
-        betas=(config.adam_beta1, config.adam_beta2),
-        eps=config.adam_eps,
-    )
-    sched = ExponentialDecay(opt, gamma=config.lr_gamma)
-    return model, opt, sched
-
-
-def _train_one_seed(config, split, model, opt, sched, seed, records) -> dict:
+def _train_one_seed(config, split, model, seed, records) -> dict:
     train_set = split.train
     labels = model.label_indices(train_set)
     texts = train_set.texts()
     shuffle_rng = np.random.default_rng((seed, 22))
     drop = DropoutRng(seed)
-    params = opt.params
+    # prompt, head, then backbone tensors: the order clipping sums the norm in
+    params = model.parameters()
+    opt = Adam(params, lr=config.lr, betas=(config.adam_beta1, config.adam_beta2),
+               eps=config.adam_eps)
 
     def snapshot():
         return [p.data.copy() for p in params]
@@ -496,7 +485,7 @@ def _train_one_seed(config, split, model, opt, sched, seed, records) -> dict:
             global_step += 1
             loss_sum += loss_value * len(chosen)
             correct += int((np.argmax(logits.data, axis=1) == np.asarray(batch_labels)).sum())
-        sched.step()
+        opt.lr = config.lr * config.lr_gamma**epoch
         elapsed += time.perf_counter() - started
 
         dev_acc, dev_loss = _evaluate(model, split.dev)
@@ -561,7 +550,8 @@ def load_model(path: str | Path) -> PromptedClassifier:
             tensors, config.embed_dim, len(meta["labels"]), config.head_dropout
         )
         state = PromptState.from_arrays(
-            meta["variant"], tensors, config.num_layers, config.train_keywords
+            meta["variant"], tensors, config.num_layers, config.soft_prompt_len,
+            config.num_keywords, config.embed_dim, config.train_keywords,
         )
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

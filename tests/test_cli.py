@@ -1,5 +1,7 @@
 """End-to-end CLI flows on a small synthetic task."""
 
+import argparse
+import dataclasses
 import json
 import math
 import re
@@ -9,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from switchprompt.cli import main
+from switchprompt.cli import build_parser, main
 from switchprompt.gradcheck import OP_TRIALS
-from switchprompt.runner import load_model
+from switchprompt.runner import RunConfig, load_model
 
 
 @pytest.fixture(scope="module")
@@ -179,6 +181,22 @@ class TestUnknownInputs:
         assert main(["train"] + run_flags(workspace) + ["--variant", "bogus"]) == 1
         assert "unknown variant" in capsys.readouterr().err
 
+    def test_bad_config_value_is_one_line_naming_the_key(self, workspace, tmp_path, capsys):
+        cfg_path = tmp_path / "zero_width.cfg"
+        make_config_file(workspace, cfg_path)
+        with cfg_path.open("a", encoding="utf-8") as handle:
+            handle.write("\nembed_dim = 0\nnum_heads = 1\n")  # later lines win
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "config key embed_dim" in err[0], err
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_every_run_flag_is_named_after_its_config_key(command):
+    commands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {action.dest for action in commands.choices[command]._actions} - {"help", "config"}
+    assert dests <= {f.name for f in dataclasses.fields(RunConfig)}
+
 
 @pytest.fixture(scope="module")
 def checkpoint_bytes(workspace):
@@ -219,6 +237,12 @@ CORRUPTIONS = {
         shape=[4, math.prod(h["tensors"]["layer0.wq"]["shape"]) // 4])),
     "head-shape": edit_header(lambda h: h["tensors"]["head.weight"].update(
         shape=h["tensors"]["head.weight"]["shape"][::-1])),
+    "prompt-soft-shape": edit_header(lambda h: h["tensors"]["prompt.layer0.soft"].update(
+        shape=h["tensors"]["prompt.layer0.soft"]["shape"][::-1])),
+    "prompt-keywords-shape": edit_header(lambda h: h["tensors"]["prompt.keywords"].update(
+        shape=h["tensors"]["prompt.keywords"]["shape"][::-1])),
+    "prompt-gate1-shape": edit_header(lambda h: h["tensors"]["prompt.gate1"].update(
+        shape=[2, h["tensors"]["prompt.gate1"]["shape"][0] // 2])),
     **{
         f"meta-without-{key}": edit_header(lambda h, key=key: h["meta"].pop(key))
         for key in ("config", "vocab", "labels", "variant")
@@ -242,7 +266,8 @@ class TestCorruptCheckpoint:
 
     @pytest.mark.parametrize("kind, tensor", [
         ("no-backbone-tensor", "layer0.wq"), ("backbone-shape", "layer0.wq"),
-        ("head-shape", "head.weight"),
+        ("head-shape", "head.weight"), ("prompt-soft-shape", "prompt.layer0.soft"),
+        ("prompt-keywords-shape", "prompt.keywords"), ("prompt-gate1-shape", "prompt.gate1"),
     ])
     def test_tensor_errors_name_the_tensor(self, checkpoint_bytes, tmp_path, kind, tensor):
         path = tmp_path / f"{kind}.bin"

@@ -1,10 +1,10 @@
-"""Adam, the exponential schedule, and gradient clipping."""
+"""Adam and gradient clipping."""
 
 import numpy as np
 
 from switchprompt import autograd as ag
 from switchprompt.autograd import Tensor
-from switchprompt.optim import Adam, ExponentialDecay, clip_global_norm
+from switchprompt.optim import Adam, clip_global_norm
 
 
 class TestAdam:
@@ -34,22 +34,6 @@ class TestAdam:
         opt.step()
         np.testing.assert_array_equal(y.data, np.ones(3))
         assert not np.array_equal(x.data, np.ones(3))
-
-
-class TestExponentialDecay:
-    def test_lr_after_k_epochs_is_exact_power(self):
-        opt = Adam([Tensor(np.zeros(1), requires_grad=True)], lr=5e-3)
-        sched = ExponentialDecay(opt, gamma=0.95)
-        for k in range(1, 21):
-            sched.step()
-            assert abs(opt.lr - 5e-3 * 0.95**k) < 1e-12
-
-    def test_base_lr_unchanged(self):
-        opt = Adam([Tensor(np.zeros(1), requires_grad=True)], lr=1e-2)
-        sched = ExponentialDecay(opt, gamma=0.9)
-        sched.step()
-        sched.step()
-        assert sched.base_lr == 1e-2
 
 
 class TestClipGlobalNorm:

@@ -18,6 +18,7 @@ from switchprompt.prompts import (
     init_prompt_state,
     pad_prompt,
     per_layer_prompts,
+    prompt_shapes,
 )
 
 EMBED = 6
@@ -321,10 +322,14 @@ class TestPerLayerPrompts:
         assert stack[0] is state.keyword_vectors and stack[1] is state.keyword_vectors
 
 
+def any_shape(variant):
+    """(m, n): m = 2 and n = 3, except m = n = 3 where the two mixed orders must be equally long."""
+    return (3 if variant is Variant.MIX_NO_CONCAT else 2), 3
+
+
 def any_state(variant, train_keywords=False):
-    """m = 2 and n = 3, except m = n = 3 where the two mixed orders must be equally long."""
-    m = 3 if variant is Variant.MIX_NO_CONCAT else 2
-    return make_state(variant, m=m, n=3, train_keywords=train_keywords)
+    m, n = any_shape(variant)
+    return make_state(variant, m=m, n=n, train_keywords=train_keywords)
 
 
 class TestVariantTable:
@@ -333,12 +338,13 @@ class TestVariantTable:
     def test_from_arrays_inverts_named_arrays(self, variant, train_keywords):
         state = any_state(variant, train_keywords)
         arrays = state.named_arrays()
-        back = PromptState.from_arrays(variant, arrays, 2, train_keywords=train_keywords)
+        back = PromptState.from_arrays(variant, arrays, 2, *any_shape(variant), EMBED,
+                                       train_keywords=train_keywords)
         assert list(back.named_arrays()) == list(arrays)
         for name, array in back.named_arrays().items():
             np.testing.assert_array_equal(array, arrays[name])
-        assert [(n, t.requires_grad) for n, t in back.named_tensors().items()] == [
-            (n, t.requires_grad) for n, t in state.named_tensors().items()
+        assert [(n, t.requires_grad) for n, t in back.tensors.items()] == [
+            (n, t.requires_grad) for n, t in state.tensors.items()
         ]
         for ours, theirs in zip(back.parameters(), state.parameters(), strict=True):
             np.testing.assert_array_equal(ours.data, theirs.data)
@@ -360,4 +366,21 @@ class TestVariantTable:
         for name in arrays:
             partial = {k: v for k, v in arrays.items() if k != name}
             with pytest.raises(ValueError, match=rf"{variant.value} needs .*{re.escape(name)}"):
-                PromptState.from_arrays(variant, partial, 2)
+                PromptState.from_arrays(variant, partial, 2, *any_shape(variant), EMBED)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_misshaped_tensor_is_named(self, variant):
+        arrays = any_state(variant).named_arrays()
+        for name, array in arrays.items():
+            bad = {**arrays, name: np.zeros(array.shape + (1,))}
+            with pytest.raises(ValueError, match=rf"tensor {re.escape(name)} has shape"):
+                PromptState.from_arrays(variant, bad, 2, *any_shape(variant), EMBED)
+
+    def test_table_lists_each_tensor_in_parameter_order(self):
+        shapes = prompt_shapes(Variant.SWITCHPROMPT, 2, 4, 5, EMBED)
+        assert shapes == {
+            "prompt.layer0.soft": (4, EMBED), "prompt.layer1.soft": (4, EMBED),
+            "prompt.keywords": (5, EMBED), "prompt.gate1": (EMBED,), "prompt.gate2": (EMBED,),
+        }
+        state = make_state(Variant.SWITCHPROMPT, m=4, n=5, train_keywords=True)
+        assert [t.shape for t in state.parameters()] == list(shapes.values())

@@ -10,6 +10,7 @@ from switchprompt import runner
 from switchprompt.data import LabeledDataset
 from switchprompt.encoder import ClassificationHead
 from switchprompt.keywords import KeywordSet
+from switchprompt.optim import Adam
 from switchprompt.runner import (
     PromptedClassifier,
     RunConfig,
@@ -311,6 +312,15 @@ class TestConfigParsing:
         ("freeze_backbone", 1),
         ("seeds", 0),
         ("seeds", [0, "a"]),
+        ("embed_dim", 0),
+        ("num_layers", 0),
+        ("num_heads", 0),
+        ("num_heads", 3),  # does not divide the default embed_dim 32
+        ("activation", "tanh"),
+        ("soft_prompt_len", 0),
+        ("num_keywords", 0),
+        ("shots", 0),
+        ("epochs", -1),
     ])
     def test_bad_value_rejected_naming_the_key(self, key, value):
         with pytest.raises(ValueError, match=f"config key {key}"):
@@ -320,6 +330,10 @@ class TestConfigParsing:
         RunConfig(variant="soft-only", max_seq_len=9)  # m = 8 slots leave room for CLS
         with pytest.raises(ValueError, match="max_seq_len"):
             RunConfig(variant="keywords-only", max_seq_len=10)
+
+    def test_unused_prompt_part_may_have_length_zero(self):
+        RunConfig(variant="keywords-only", soft_prompt_len=0)
+        RunConfig(variant="soft-only", num_keywords=0)
 
     def test_mix_no_concat_with_unequal_lengths_rejected(self):
         with pytest.raises(ValueError, match="mix-no-concat"):
@@ -399,6 +413,21 @@ class TestBenchmarkHooks:
         assert len(state.soft_prompts) == 2
         assert state.keyword_vectors.shape == (3, 4)
         assert state.gate1_weights.shape == state.gate2_weights.shape == (4,)
+
+
+class TestLearningRateSchedule:
+    def test_epoch_k_steps_at_lr_times_gamma_to_k_minus_1_for_every_seed(
+        self, tiny_config, tiny_split, tiny_keywords, monkeypatch
+    ):
+        cfg = replace(tiny_config, lr_gamma=0.5, epochs=3, seeds=[0, 1])
+        seen = []
+        step = Adam.step
+        monkeypatch.setattr(Adam, "step", lambda self: seen.append(self.lr) or step(self))
+        train(cfg, tiny_split, tiny_keywords)
+        steps_per_epoch = -(-len(tiny_split.train) // cfg.batch_size)
+        one_seed = [cfg.lr * 0.5 ** (k - 1) for k in (1, 2, 3) for _ in range(steps_per_epoch)]
+        assert steps_per_epoch > 1
+        assert seen == one_seed * 2
 
 
 class TestDivergenceReporting:
