@@ -133,10 +133,14 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
+def _mine_keywords(general_path, domain_path, alpha: float, n: int) -> kw_mod.KeywordSet:
+    general = kw_mod.compute_stats(data_mod.read_corpus(general_path), source="general")
+    domain = kw_mod.compute_stats(data_mod.read_corpus(domain_path), source="domain")
+    return kw_mod.select_keywords(general, domain, alpha=alpha, n=n)
+
+
 def cmd_extract_keywords(args) -> int:
-    general = kw_mod.compute_stats(data_mod.read_corpus(args.general), source="general")
-    domain = kw_mod.compute_stats(data_mod.read_corpus(args.domain), source="domain")
-    selected = kw_mod.select_keywords(general, domain, alpha=args.alpha, n=args.n)
+    selected = _mine_keywords(args.general, args.domain, args.alpha, args.n)
     kw_mod.write_keywords(args.out, selected)
     print(f"selected {selected.n} keywords -> {args.out}")
     for word, score, rank in selected.ranked():
@@ -174,20 +178,18 @@ def _prepare_run(args):
         raise ValueError("no dataset given (use --data or set `dataset` in the config)")
     dataset = data_mod.load_dataset(config.dataset)
     split = data_mod.sample_fewshot(dataset, shots=config.shots, seed=config.split_seed)
+    # the keyword line is part of the backbone's texts, so every variant reads it
     keyword_set = None
-    if Variant.parse(config.variant).uses("K") or args.handler is cmd_ablate:
-        if config.keywords_file:
-            keyword_set = kw_mod.read_keywords(config.keywords_file, alpha=config.alpha)
-        elif config.general_corpus and config.domain_corpus:
-            general = kw_mod.compute_stats(data_mod.read_corpus(config.general_corpus), "general")
-            domain = kw_mod.compute_stats(data_mod.read_corpus(config.domain_corpus), "domain")
-            keyword_set = kw_mod.select_keywords(
-                general, domain, alpha=config.alpha, n=config.num_keywords
-            )
-        else:
-            raise ValueError(
-                "keywords are required: give --keywords, or --general and --domain to mine them"
-            )
+    if config.keywords_file:
+        keyword_set = kw_mod.read_keywords(config.keywords_file, alpha=config.alpha)
+    elif config.general_corpus and config.domain_corpus:
+        keyword_set = _mine_keywords(
+            config.general_corpus, config.domain_corpus, config.alpha, config.num_keywords
+        )
+    elif Variant.parse(config.variant).uses("K") or args.handler is cmd_ablate:
+        raise ValueError(
+            "keywords are required: give --keywords, or --general and --domain to mine them"
+        )
     return config, split, keyword_set
 
 

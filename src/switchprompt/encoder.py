@@ -43,6 +43,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import DropoutRng, ExampleStreams, Tensor
 from .checkpoint import check_shapes
+from .optim import Adam
 from .tokenizer import CLS_ID, MASK_ID
 
 INIT_STD = 0.02
@@ -367,14 +368,8 @@ class ClassificationHead:
 
 def trainable_parameter_count(weights: EncoderWeights | None, head, prompt_state) -> int:
     """Number of scalars with requires_grad set, enumerated over all parts."""
-    total = 0
-    for part in (weights, head, prompt_state):
-        if part is None:
-            continue
-        for t in part.parameters():
-            if t.requires_grad:
-                total += t.size
-    return total
+    return sum(t.size for part in (weights, head, prompt_state) if part is not None
+               for t in part.parameters())
 
 
 def pretrain_masked_token(
@@ -390,8 +385,6 @@ def pretrain_masked_token(
     predicted back through the (tied) token embedding table. Weights are
     unfrozen for the duration and re-frozen afterwards.
     """
-    from .optim import Adam  # local import to avoid a cycle
-
     pool = [np.asarray(s, dtype=np.int64) for s in sequences if len(s) > 1]
     if not pool:
         raise ValueError("masked-token warm-up needs at least one sequence with a word")

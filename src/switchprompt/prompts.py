@@ -177,15 +177,12 @@ def init_prompt_state(
         if keyword_vectors is None:
             raise ValueError(f"variant {variant.value} needs keyword vectors")
         kw = np.array(getattr(keyword_vectors, "data", keyword_vectors), dtype=np.float64)
-    shapes = prompt_shapes(variant, num_layers, soft_len, len(kw) if kw is not None else 0, embed_dim)
-    tensors = {}
-    for name, shape in shapes.items():
-        if name == "prompt.keywords":
-            check_shapes({name: kw}, {name: shape})
-            tensors[name] = Tensor(kw, requires_grad=train_keywords)
-        else:
-            tensors[name] = Tensor(rng.normal(0.0, INIT_STD, size=shape), requires_grad=True)
-    return PromptState(variant, tensors)
+    n = len(kw) if kw is not None else 0
+    arrays = {
+        name: kw if name == "prompt.keywords" else rng.normal(0.0, INIT_STD, size=shape)
+        for name, shape in prompt_shapes(variant, num_layers, soft_len, n, embed_dim).items()
+    }
+    return PromptState.from_arrays(variant, arrays, num_layers, soft_len, n, embed_dim, train_keywords)
 
 
 def pad_prompt(prompt: Tensor, length: int) -> Tensor:

@@ -1,11 +1,12 @@
 """Training loop, evaluation, ablation sweep and metrics persistence.
 
-``train`` runs one configuration over every seed in the config: fresh prompt
-and head parameters per seed, mini-batch Adam over cross-entropy with
-per-epoch exponential learning-rate decay and global-norm gradient clipping,
-best-dev checkpoint selection (ties go to the earlier epoch), and a frozen
-backbone throughout. ``ablate`` repeats that for each prompt-composition
-variant with shared seeds and data.
+``train`` builds the backbone once and runs one configuration over every
+seed in the config: fresh prompt and head parameters per seed, mini-batch
+Adam over cross-entropy with per-epoch exponential learning-rate decay and
+global-norm gradient clipping, best-dev checkpoint selection (ties go to the
+earlier epoch), and a frozen backbone throughout. ``ablate`` repeats the
+seed loop for each prompt-composition variant on one backbone, with shared
+seeds and data.
 
 Outputs under the run directory:
 
@@ -40,6 +41,7 @@ from .encoder import (
     TransformerEncoder,
     pad_batch,
     pretrain_masked_token,
+    trainable_parameter_count,
 )
 from .keywords import KeywordSet, vectorize_keywords
 from .optim import Adam, clip_global_norm
@@ -116,11 +118,14 @@ class RunConfig:
             ("num_heads", self.num_heads >= 1, ">= 1"),
             ("num_heads", self.num_heads >= 1 and self.embed_dim % self.num_heads == 0,
              f"a divisor of embed_dim {self.embed_dim}"),
+            ("ffn_dim", self.ffn_dim >= 1, ">= 1"),
+            ("vocab_cap", self.vocab_cap >= 4, ">= 4 (three reserved ids and a word)"),
             ("activation", self.activation in ("gelu", "relu"), "gelu or relu"),
             ("soft_prompt_len", self.soft_prompt_len >= 1 or not variant.uses("V"),
              f">= 1 for variant {variant.value}"),
             ("num_keywords", self.num_keywords >= 1 or not variant.uses("K"),
              f">= 1 for variant {variant.value}"),
+            ("alpha", self.alpha < 0, "< 0"),
             ("shots", self.shots >= 1, ">= 1"),
             ("epochs", self.epochs >= 0, ">= 0"),
             ("gate_input", self.gate_input in ("plain", "prompted"), "plain or prompted"),
@@ -129,6 +134,13 @@ class RunConfig:
              "embedding or cls"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
             ("lr", self.lr > 0, "> 0"),
+            ("lr_gamma", self.lr_gamma > 0, "> 0"),
+            ("adam_beta1", 0 <= self.adam_beta1 < 1, "in [0, 1)"),
+            ("adam_beta2", 0 <= self.adam_beta2 < 1, "in [0, 1)"),
+            ("adam_eps", self.adam_eps > 0, "> 0"),
+            ("grad_clip", self.grad_clip >= 0, ">= 0 (0 turns clipping off)"),
+            ("mlm_steps", self.mlm_steps >= 0, ">= 0"),
+            ("mlm_lr", self.mlm_lr > 0, "> 0"),
             ("encoder_dropout", 0 <= self.encoder_dropout < 1, "in [0, 1)"),
             ("head_dropout", 0 <= self.head_dropout < 1, "in [0, 1)"),
         ):
@@ -311,10 +323,6 @@ class PromptedClassifier:
             )
         return [self.label_map[label] for _, label in dataset.examples]
 
-    def predict(self, texts: list[str]) -> np.ndarray:
-        with ag.no_grad():
-            return np.argmax(self.logits(texts).data, axis=1)
-
     def parameters(self) -> list[Tensor]:
         return (
             self.prompt_state.parameters()
@@ -364,14 +372,13 @@ def _build_backbone(config: RunConfig, split: FewShotSplit, keyword_set: Keyword
         texts = texts + [" ".join(keyword_set.words)]
     tokenizer = Tokenizer.build(texts, max_vocab=config.vocab_cap)
     enc_cfg = config.encoder_config(tokenizer.vocab_size)
-    weights = EncoderWeights.init(enc_cfg, seed=config.backbone_seed, frozen=False)
+    weights = EncoderWeights.init(enc_cfg, seed=config.backbone_seed, frozen=config.freeze_backbone)
     encoder = TransformerEncoder(enc_cfg, weights)
     if config.backbone_init == "mlm":
         sequences = [tokenizer.encode(t)[: config.max_seq_len] for t in texts]
         pretrain_masked_token(
             encoder, sequences, steps=config.mlm_steps, seed=config.backbone_seed, lr=config.mlm_lr
         )
-    weights.set_frozen(config.freeze_backbone)
     return tokenizer, encoder
 
 
@@ -382,8 +389,13 @@ def train(
     out_dir: str | Path | None = None,
 ) -> RunResult:
     """Run every seed of one configuration; returns the aggregated result."""
-    if out_dir is None and config.out_dir:
-        out_dir = config.out_dir
+    _check_keywords(config, keyword_set)
+    backbone = _build_backbone(config, split, keyword_set)
+    out_dir = out_dir if out_dir is not None else config.out_dir or None
+    return _train_seeds(config, split, keyword_set, backbone, out_dir)
+
+
+def _check_keywords(config: RunConfig, keyword_set: KeywordSet | None) -> None:
     variant = Variant.parse(config.variant)
     if variant.uses("K"):
         if keyword_set is None:
@@ -394,22 +406,24 @@ def train(
                 f"file has {keyword_set.n}"
             )
 
-    tokenizer, encoder = _build_backbone(config, split, keyword_set)
-    kw_vectors = None
-    if variant.uses("K"):
-        kw_vectors = vectorize_keywords(
-            keyword_set, tokenizer, encoder, method=config.keyword_vector_mode
-        )
+
+def _train_seeds(config, split, keyword_set, backbone, out_dir) -> RunResult:
+    """The seed loop of `train` on a built backbone, which it leaves unchanged."""
+    tokenizer, built = backbone
+    variant = Variant.parse(config.variant)
+    kw_vectors = (vectorize_keywords(keyword_set, tokenizer, built, method=config.keyword_vector_mode)
+                  if variant.uses("K") else None)
 
     label_names = list(split.train.label_map)
     records: list[dict] = []
     seed_results: list[dict] = []
     repr_cache: dict[str, np.ndarray] = {}
+    encoder = built
     for seed in config.seeds:
         if not config.freeze_backbone:
-            # an unfrozen backbone is mutated by training: every seed gets a
-            # fresh, identically initialized copy
-            tokenizer, encoder = _build_backbone(config, split, keyword_set)
+            # training mutates an unfrozen backbone: each seed starts from a copy
+            tensors = {name: Tensor(t.data.copy()) for name, t in built.weights.tensors.items()}
+            encoder = TransformerEncoder(built.config, EncoderWeights(built.config, tensors, frozen=False))
         rng = np.random.default_rng((seed, 11))  # the prompts, then the head
         state = init_prompt_state(
             config.variant, config.num_layers, config.embed_dim, config.soft_prompt_len,
@@ -435,7 +449,7 @@ def train(
         test_std=float(np.std(test_accs)),
         dev_mean=float(np.mean(dev_accs)),
         best_epochs=[r["best_epoch"] for r in seed_results],
-        trainable_params=sum(p.size for p in model.parameters()),
+        trainable_params=trainable_parameter_count(encoder.weights, head, state),
         seconds_per_epoch=float(np.mean([r["seconds_per_epoch"] for r in seed_results])),
         config=config.to_dict(),
     )
@@ -600,14 +614,18 @@ def ablate(
     out_dir: str | Path | None = None,
     variants: list[Variant] | None = None,
 ) -> list[RunResult]:
-    """Train every variant with shared seeds and data; table in fixed order."""
+    """Train every variant on one backbone with shared seeds and data; table in fixed order."""
     variants = list(variants) if variants is not None else list(Variant)
-    # building every variant's config checks them all before the first one trains
+    # building every variant's config checks them all before the backbone is built
     configs = [replace(config, variant=variant.value) for variant in variants]
+    for variant_config in configs:
+        _check_keywords(variant_config, keyword_set)
+    backbone = _build_backbone(config, split, keyword_set)  # no variant shapes the backbone
+    out_dir = out_dir if out_dir is not None else config.out_dir or None
     results = []
     for variant_config in configs:
         sub_dir = Path(out_dir) / variant_config.variant if out_dir is not None else None
-        results.append(train(variant_config, split, keyword_set, sub_dir))
+        results.append(_train_seeds(variant_config, split, keyword_set, backbone, sub_dir))
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
         (Path(out_dir) / "ablation_table.txt").write_text(

@@ -190,6 +190,32 @@ class TestUnknownInputs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "config key embed_dim" in err[0], err
 
+    def test_out_of_range_config_value_is_one_line_naming_the_key(self, workspace, tmp_path,
+                                                                   capsys):
+        cfg_path = tmp_path / "negative_clip.cfg"
+        make_config_file(workspace, cfg_path)
+        with cfg_path.open("a", encoding="utf-8") as handle:
+            handle.write("\ngrad_clip = -1.0\n")
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "config key grad_clip" in err[0], err
+
+
+class TestOneBackbone:
+    """A variant's `train` run and its `ablate` row share one backbone."""
+
+    def test_train_reproduces_the_ablate_row(self, workspace, tmp_path):
+        flags = run_flags(workspace)
+        flags[flags.index("--m") + 1] = "6"  # mix-no-concat needs m == n
+        flags += ["--epochs", "1", "--backbone-init", "mlm"]
+        assert main(["ablate"] + flags + ["--out", str(tmp_path / "ablate")]) == 0
+        row = (tmp_path / "ablate" / "soft-only" / "metrics.jsonl").read_bytes()
+        mined = flags[: flags.index("--keywords")] + flags[flags.index("--keywords") + 2 :]
+        for name, run in (("given", flags), ("mined", mined)):
+            out = tmp_path / name
+            assert main(["train"] + run + ["--variant", "soft-only", "--out", str(out)]) == 0
+            assert (out / "metrics.jsonl").read_bytes() == row, name
+
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
 def test_every_run_flag_is_named_after_its_config_key(command):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from switchprompt import autograd as ag
 from switchprompt import runner
 from switchprompt.data import LabeledDataset
 from switchprompt.encoder import ClassificationHead
@@ -66,7 +67,8 @@ class TestEvaluate:
         # oracle: per-example argmax comparison, counted by hand
         correct = 0
         for text, label in subset.examples:
-            predicted = int(model.predict([text])[0])
+            with ag.no_grad():
+                predicted = int(np.argmax(model.logits([text]).data, axis=1)[0])
             correct += predicted == subset.label_map[label]
         assert evaluate(model, subset) == correct / len(subset.examples)
 
@@ -207,6 +209,39 @@ class TestAblate:
         )
         assert [r.variant for r in results] == ["keywords-only", "soft-only"]
 
+    def test_falls_back_to_the_config_out_dir(self, tiny_config, tiny_split, tiny_keywords,
+                                              tmp_path):
+        cfg = replace(tiny_config, epochs=1, out_dir=str(tmp_path))
+        ablate(cfg, tiny_split, tiny_keywords, variants=[Variant.KEYWORDS_ONLY, Variant.SOFT_ONLY])
+        for variant in ("keywords-only", "soft-only"):
+            assert json.loads((tmp_path / variant / "result.json").read_text())["variant"] == variant
+        assert len((tmp_path / "ablation_table.txt").read_text().splitlines()) == 3
+
+
+class TestBackboneBuilds:
+    """Each command builds and warms up its backbone once."""
+
+    @pytest.fixture
+    def warmups(self, monkeypatch):
+        calls = []
+        warm_up = runner.pretrain_masked_token
+        monkeypatch.setattr(runner, "pretrain_masked_token",
+                            lambda *a, **k: calls.append(1) or warm_up(*a, **k))
+        return calls
+
+    def test_six_variant_ablate_warms_up_once(self, tiny_config, tiny_split, tiny_keywords,
+                                              warmups):
+        cfg = replace(tiny_config, epochs=1, soft_prompt_len=6, backbone_init="mlm", mlm_steps=5)
+        assert len(ablate(cfg, tiny_split, tiny_keywords)) == 6
+        assert len(warmups) == 1
+
+    def test_unfrozen_two_seed_train_warms_up_once(self, tiny_config, tiny_split, tiny_keywords,
+                                                   warmups):
+        cfg = replace(tiny_config, epochs=1, seeds=[0, 1], freeze_backbone=False,
+                      backbone_init="mlm", mlm_steps=5)
+        train(cfg, tiny_split, tiny_keywords)
+        assert len(warmups) == 1
+
 
 class TestConfigKnobs:
     def test_prompted_gate_input_trains_and_differs_from_plain(self, tiny_config, tiny_split,
@@ -321,6 +356,23 @@ class TestConfigParsing:
         ("num_keywords", 0),
         ("shots", 0),
         ("epochs", -1),
+        ("ffn_dim", 0),
+        ("lr_gamma", 0.0),
+        ("lr_gamma", -1.0),
+        ("grad_clip", -1.0),
+        ("mlm_steps", -5),
+        ("vocab_cap", 0),
+        ("vocab_cap", 3),
+        ("adam_beta1", 1.5),
+        ("adam_beta1", 1.0),
+        ("adam_beta1", -0.1),
+        ("adam_beta2", 1.0),
+        ("adam_eps", -1.0),
+        ("adam_eps", 0.0),
+        ("mlm_lr", -1.0),
+        ("mlm_lr", 0.0),
+        ("alpha", 0.5),
+        ("alpha", 0.0),
     ])
     def test_bad_value_rejected_naming_the_key(self, key, value):
         with pytest.raises(ValueError, match=f"config key {key}"):
@@ -330,6 +382,9 @@ class TestConfigParsing:
         RunConfig(variant="soft-only", max_seq_len=9)  # m = 8 slots leave room for CLS
         with pytest.raises(ValueError, match="max_seq_len"):
             RunConfig(variant="keywords-only", max_seq_len=10)
+
+    def test_boundary_values_accepted(self):
+        RunConfig(grad_clip=0.0, mlm_steps=0, vocab_cap=4, adam_beta1=0.0, adam_beta2=0.0)
 
     def test_unused_prompt_part_may_have_length_zero(self):
         RunConfig(variant="keywords-only", soft_prompt_len=0)
@@ -404,7 +459,8 @@ class TestBenchmarkHooks:
         calls = []
         original = runner.__dict__[composer]
         monkeypatch.setattr(runner, composer, lambda *a, **k: calls.append(1) or original(*a, **k))
-        model.predict(["gen000 gen001"])
+        with ag.no_grad():
+            model.logits(["gen000 gen001"])
         assert calls
 
     def test_prompt_state_fields_read_by_the_oracle(self):
