@@ -9,8 +9,8 @@ recorded parents).
 
 Ops take an optional leading batch axis: ``matmul`` broadcasts stacked
 operands, ``softmax_rows`` normalizes the last axis under an optional
-additive mask, ``permute``/``transpose`` reorder axes and ``embedding``
-gathers a ``(B, T)`` id array.
+additive mask, ``permute`` reorders axes and ``embedding`` gathers a
+``(B, T)`` id array.
 
 All math runs in double precision. Dropout randomness is drawn from
 counter-based streams (:class:`DropoutRng`) keyed on (seed, step, call index),
@@ -32,7 +32,6 @@ __all__ = [
     "mul",
     "scale",
     "matmul",
-    "transpose",
     "permute",
     "reshape",
     "concat",
@@ -46,9 +45,7 @@ __all__ = [
     "embedding",
     "dropout",
     "sum_all",
-    "mean_all",
     "sum_axis",
-    "mean_axis",
     "softmax_cross_entropy",
     "backward",
 ]
@@ -187,13 +184,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return _record(data, (a, b), vjp)
-
-
-def transpose(a: Tensor) -> Tensor:
-    """Swap the last two axes (the matrix transpose of every stacked matrix)."""
-    if a.data.ndim < 2:
-        raise ValueError(f"transpose expects at least 2 axes, got shape {a.shape}")
-    return _record(_swap_last(a.data), (a,), lambda g: (_swap_last(g),))
 
 
 def permute(a: Tensor, axes: Sequence[int]) -> Tensor:
@@ -365,7 +355,7 @@ def embedding(weight: Tensor, ids) -> Tensor:
             f"embedding id out of range: ids span [{ids.min()}, {ids.max()}] "
             f"but the table has {weight.shape[0]} rows"
         )
-    data = weight.data[ids].copy()
+    data = weight.data[ids]
 
     def vjp(g):
         table = np.zeros_like(weight.data)
@@ -456,23 +446,9 @@ def sum_all(x: Tensor) -> Tensor:
     return _record(data, (x,), lambda g: (np.broadcast_to(g, x.shape).copy(),))
 
 
-def mean_all(x: Tensor) -> Tensor:
-    n = x.data.size
-    data = np.asarray(x.data.mean())
-    return _record(data, (x,), lambda g: (np.broadcast_to(g / n, x.shape).copy(),))
-
-
 def sum_axis(x: Tensor, axis: int) -> Tensor:
     data = x.data.sum(axis=axis)
     return _record(data, (x,), lambda g: (np.broadcast_to(np.expand_dims(g, axis), x.shape).copy(),))
-
-
-def mean_axis(x: Tensor, axis: int) -> Tensor:
-    n = x.shape[axis]
-    data = x.data.mean(axis=axis)
-    return _record(
-        data, (x,), lambda g: (np.broadcast_to(np.expand_dims(g / n, axis), x.shape).copy(),)
-    )
 
 
 def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
@@ -513,7 +489,12 @@ def softmax_cross_entropy(logits: Tensor, labels) -> Tensor:
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
-    """Iterative post-order DFS (graphs can exceed the recursion limit)."""
+    """Iterative post-order DFS (graphs can exceed the recursion limit).
+
+    Parents that take no gradient are not visited: `_record` gives a tensor
+    parents only when one of its inputs needs a gradient, so such a parent
+    is a leaf (a frozen weight or a constant) and nothing flows into it.
+    """
     order: list[Tensor] = []
     seen: set[int] = set()
     stack: list[tuple[Tensor, bool]] = [(root, False)]
@@ -527,7 +508,7 @@ def _toposort(root: Tensor) -> list[Tensor]:
         seen.add(id(node))
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in seen:
+            if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
     return order
 

@@ -167,7 +167,10 @@ def _assemble_config(args) -> RunConfig:
     flags = {key: value for key, value in vars(args).items()
              if key in CONFIG_KEYS and value is not None}
     if args.seeds is not None:
-        flags["seeds"] = [int(s) for s in str(args.seeds).split(",") if s != ""]
+        try:
+            flags["seeds"] = [int(s) for s in str(args.seeds).split(",") if s != ""]
+        except ValueError:
+            raise ValueError(f"--seeds: expected comma-separated integers, got {args.seeds!r}") from None
     values.update(flags)
     return RunConfig.from_dict(values)
 

@@ -89,6 +89,8 @@ def sample_fewshot(dataset: LabeledDataset, shots: int, seed: int) -> FewShotSpl
     Examples are sorted by (label, text, position) before sampling, so the
     split contents do not depend on the record order of the source file.
     """
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
     by_class: dict[str, list[int]] = {label: [] for label in dataset.label_map}
     order = sorted(
         range(len(dataset.examples)),

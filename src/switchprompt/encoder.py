@@ -300,8 +300,8 @@ class TransformerEncoder:
         batch, width, e = h.shape
         heads, head_dim = cfg.num_heads, e // cfg.num_heads
 
-        def split_heads(x: Tensor) -> Tensor:  # (B, S, e) -> (B, H, S, d)
-            return ag.permute(ag.reshape(x, (batch, -1, heads, head_dim)), (0, 2, 1, 3))
+        def split_heads(x: Tensor, axes=(0, 2, 1, 3)) -> Tensor:  # (B, S, e) -> (B, H, S, d)
+            return ag.permute(ag.reshape(x, (batch, -1, heads, head_dim)), axes)
 
         q = ag.scale(ag.add(ag.matmul(h, w[p + "wq"]), w[p + "bq"]), 1.0 / math.sqrt(head_dim))
         k = ag.add(ag.matmul(h, w[p + "wk"]), w[p + "bk"])
@@ -309,7 +309,7 @@ class TransformerEncoder:
         if prompt is not None and prompt.shape[1] > 0:
             k = ag.concat([prompt, k], axis=1)
             v = ag.concat([prompt, v], axis=1)
-        scores = ag.matmul(split_heads(q), ag.transpose(split_heads(k)))
+        scores = ag.matmul(split_heads(q), split_heads(k, (0, 2, 3, 1)))  # K as (B, H, d, S)
         probs = ag.softmax_rows(scores, mask)
         attn = ag.permute(ag.matmul(probs, split_heads(v)), (0, 2, 1, 3))
         attn = ag.add(ag.matmul(ag.reshape(attn, (batch, width, e)), w[p + "wo"]), w[p + "bo"])
@@ -400,7 +400,7 @@ def pretrain_masked_token(
         ids[pos] = MASK_ID
         _, states = encoder.encode_plain(ids)
         hidden = ag.reshape(ag.slice_cols(states, pos, pos + 1), (1, states.shape[2]))
-        logits = ag.matmul(hidden, ag.transpose(token_emb))
+        logits = ag.matmul(hidden, ag.permute(token_emb, (1, 0)))
         loss = ag.softmax_cross_entropy(logits, [target])
         opt.zero_grad()
         ag.backward(loss)

@@ -126,12 +126,6 @@ def _trial_matmul(rng):
     return lambda t: _weighted_sum(ag.matmul(t[0], t[1]), w), [a, b]
 
 
-def _trial_transpose(rng):
-    a = _rand(rng, rng.integers(1, 5), rng.integers(1, 6))
-    w = _rand(rng, a.shape[1], a.shape[0])
-    return lambda t: _weighted_sum(ag.transpose(t[0]), w), [a]
-
-
 def _trial_reshape(rng):
     p, q = rng.integers(1, 5), rng.integers(1, 6)
     a = _rand(rng, p, q)
@@ -219,23 +213,11 @@ def _trial_sum_all(rng):
     return lambda t: ag.sum_all(t[0]), [a]
 
 
-def _trial_mean_all(rng):
-    a = _rand(rng, rng.integers(1, 5), rng.integers(1, 6))
-    return lambda t: ag.mean_all(t[0]), [a]
-
-
 def _trial_sum_axis(rng):
     a = _rand(rng, rng.integers(1, 5), rng.integers(1, 6))
     axis = int(rng.integers(0, 2))
     w = _rand(rng, a.shape[1 - axis])
     return lambda t: _weighted_sum(ag.sum_axis(t[0], axis), w), [a]
-
-
-def _trial_mean_axis(rng):
-    a = _rand(rng, rng.integers(1, 5), rng.integers(1, 6))
-    axis = int(rng.integers(0, 2))
-    w = _rand(rng, a.shape[1 - axis])
-    return lambda t: _weighted_sum(ag.mean_axis(t[0], axis), w), [a]
 
 
 def _trial_softmax_cross_entropy(rng):
@@ -266,12 +248,6 @@ def _trial_permute(rng):
     return lambda t: _weighted_sum(ag.permute(t[0], axes), w), [a]
 
 
-def _trial_transpose_nd(rng):
-    a = _rand(rng, *rng.integers(1, 4, size=rng.integers(3, 5)))
-    w = _rand(rng, *np.swapaxes(a, -1, -2).shape)
-    return lambda t: _weighted_sum(ag.transpose(t[0]), w), [a]
-
-
 def _trial_softmax_masked(rng):
     # (B, H, T, S) scores under a key-padding mask that keeps >= 1 slot per row;
     # masked slots must get zero gradient, which the numeric side sees as well
@@ -296,7 +272,6 @@ OP_TRIALS: dict[str, Callable] = {
     "mul": _trial_mul,
     "scale": _trial_scale,
     "matmul": _trial_matmul,
-    "transpose": _trial_transpose,
     "reshape": _trial_reshape,
     "concat": _trial_concat,
     "slice": _trial_slice,
@@ -308,13 +283,10 @@ OP_TRIALS: dict[str, Callable] = {
     "embedding": _trial_embedding,
     "dropout": _trial_dropout,
     "sum_all": _trial_sum_all,
-    "mean_all": _trial_mean_all,
     "sum_axis": _trial_sum_axis,
-    "mean_axis": _trial_mean_axis,
     "softmax_cross_entropy": _trial_softmax_cross_entropy,
     "matmul_batched": _trial_matmul_batched,
     "permute": _trial_permute,
-    "transpose_nd": _trial_transpose_nd,
     "softmax_masked": _trial_softmax_masked,
     "embedding_2d": _trial_embedding_2d,
 }

@@ -71,6 +71,8 @@ def select_keywords(
     """Top-n domain-corpus words by contrastive score, ties broken by word."""
     if alpha >= 0:
         raise ValueError(f"alpha must be negative, got {alpha}")
+    if n < 0:
+        raise ValueError(f"keyword count n must be >= 0, got {n}")
     vocab = list(domain.counts)
     if n > len(vocab):
         raise ValueError(f"requested {n} keywords but the domain corpus has only {len(vocab)} words")
@@ -99,8 +101,7 @@ def vectorize_keywords(
     with ag.no_grad():
         for word in keywords.words:
             if method == "embedding":
-                ids = tokenizer.token_ids(word)
-                vec = ag.mean_axis(ag.embedding(encoder.weights["token_emb"], ids), axis=0).data
+                vec = encoder.weights["token_emb"].data[tokenizer.token_ids(word)].mean(axis=0)
             else:
                 vec = encoder.encode_plain(tokenizer.encode(word))[0].data[0]
             rows.append(vec)
@@ -121,6 +122,11 @@ def read_keywords(path: str | Path, alpha: float = -1.0) -> KeywordSet:
         parts = line.split("\t")
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected word<TAB>score<TAB>rank, got {line!r}")
+        if not tokenize(parts[0]):
+            raise ValueError(f"{path}:{lineno}: empty keyword in {line!r}")
+        try:
+            scores.append(float(parts[1]))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: score {parts[1]!r} is not a number") from None
         words.append(parts[0])
-        scores.append(float(parts[1]))
     return KeywordSet(words=words, scores=scores, alpha=alpha)

@@ -52,7 +52,7 @@ from .prompts import (
     init_prompt_state,
     per_layer_prompts,
 )
-from .tokenizer import Tokenizer
+from .tokenizer import Tokenizer, tokenize
 
 
 @dataclass
@@ -107,9 +107,9 @@ class RunConfig:
             value = getattr(self, key)
             if not isinstance(value, kinds) or (type(value) is bool) != (bool in kinds):
                 raise ValueError(f"config key {key}: expected {kinds[-1].__name__}, got {value!r}")
-        if not self.seeds or not all(type(seed) is int for seed in self.seeds):
+        if not self.seeds or not all(type(seed) is int and seed >= 0 for seed in self.seeds):
             raise ValueError(
-                f"config key seeds: must be a non-empty list of ints, got {self.seeds!r}"
+                f"config key seeds: must be a non-empty list of ints >= 0, got {self.seeds!r}"
             )
         variant = Variant.parse(self.variant)
         for key, ok, rule in (
@@ -121,8 +121,10 @@ class RunConfig:
             ("ffn_dim", self.ffn_dim >= 1, ">= 1"),
             ("vocab_cap", self.vocab_cap >= 4, ">= 4 (three reserved ids and a word)"),
             ("activation", self.activation in ("gelu", "relu"), "gelu or relu"),
+            ("soft_prompt_len", self.soft_prompt_len >= 0, ">= 0"),
             ("soft_prompt_len", self.soft_prompt_len >= 1 or not variant.uses("V"),
              f">= 1 for variant {variant.value}"),
+            ("num_keywords", self.num_keywords >= 0, ">= 0"),
             ("num_keywords", self.num_keywords >= 1 or not variant.uses("K"),
              f">= 1 for variant {variant.value}"),
             ("alpha", self.alpha < 0, "< 0"),
@@ -140,6 +142,9 @@ class RunConfig:
             ("adam_eps", self.adam_eps > 0, "> 0"),
             ("grad_clip", self.grad_clip >= 0, ">= 0 (0 turns clipping off)"),
             ("mlm_steps", self.mlm_steps >= 0, ">= 0"),
+            ("backbone_seed", self.backbone_seed >= 0, ">= 0"),
+            ("backbone_init_std", self.backbone_init_std >= 0, ">= 0"),
+            ("split_seed", self.split_seed >= 0, ">= 0"),
             ("mlm_lr", self.mlm_lr > 0, "> 0"),
             ("encoder_dropout", 0 <= self.encoder_dropout < 1, "in [0, 1)"),
             ("head_dropout", 0 <= self.head_dropout < 1, "in [0, 1)"),
@@ -270,9 +275,13 @@ class PromptedClassifier:
         # CLS row per text; only valid as long as the backbone stays fixed
         self._repr_cache: dict[str, np.ndarray] = repr_cache if repr_cache is not None else {}
 
+    @property
+    def text_budget(self) -> int:
+        """Token slots a text may fill, CLS included, after the prompt's."""
+        return self.encoder.config.max_seq_len - self.prompt_state.prompt_len
+
     def _ids(self, text: str) -> list[int]:
-        budget = self.encoder.config.max_seq_len - self.prompt_state.prompt_len
-        return self.tokenizer.encode(text)[:budget]
+        return self.tokenizer.encode(text)[: self.text_budget]
 
     def sentence_repr(self, texts: list[str], ids: np.ndarray, lengths: np.ndarray) -> Tensor | None:
         """(B, e) CLS vectors that drive the gates, from one batched pass.
@@ -346,7 +355,8 @@ def _evaluate(model: PromptedClassifier, dataset: LabeledDataset) -> tuple[float
         raise ValueError("cannot evaluate on an empty dataset")
     labels = np.asarray(model.label_indices(dataset))
     texts = dataset.texts()
-    lengths = np.array([len(model._ids(text)) for text in texts])
+    # len(model._ids(text)) without encoding the text a second time
+    lengths = np.array([min(len(tokenize(text)) + 1, model.text_budget) for text in texts])
     order = np.argsort(lengths, kind="stable")
     logits = np.empty((len(texts), model.head.num_classes))
     with ag.no_grad():

@@ -8,7 +8,7 @@ from scipy.special import erf
 
 from switchprompt import autograd as ag
 from switchprompt.autograd import DropoutRng, Tensor
-from switchprompt.gradcheck import check_gradients
+from switchprompt.gradcheck import OP_TRIALS, check_gradients
 
 
 class TestMatmul:
@@ -117,7 +117,7 @@ class TestBackward:
         rng = np.random.default_rng(7)
         a = Tensor(rng.standard_normal((3, 2)), requires_grad=True)
         b = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
-        loss = ag.mean_all(ag.gelu(ag.matmul(a, b)))
+        loss = ag.sum_all(ag.gelu(ag.matmul(a, b)))
         ag.backward(loss)
         first_a, first_b = a.grad.copy(), b.grad.copy()
         ag.backward(loss)
@@ -150,6 +150,18 @@ class TestBackward:
         ag.backward(ag.sum_all(ag.mul(const, x)))
         assert const.grad is None and x.grad is not None
 
+    def test_walk_skips_tensors_that_take_no_gradient(self):
+        rng = np.random.default_rng(25)
+        prompt = Tensor(rng.standard_normal((2, 3)), requires_grad=True)
+        frozen = Tensor(rng.standard_normal((3, 3)))
+        const = Tensor(rng.standard_normal((2, 3)))
+        hidden = ag.matmul(prompt, frozen)
+        mixed = ag.add(hidden, const)
+        act = ag.gelu(mixed)
+        loss = ag.sum_all(act)
+        walked = [id(t) for t in ag._toposort(loss)]
+        assert walked == [id(t) for t in (prompt, hidden, mixed, act, loss)]
+
 
 class TestRemainingOps:
     """One trivial plus one finite-difference example per op."""
@@ -167,7 +179,7 @@ class TestRemainingOps:
         assert out.data.tolist() == [8.0, 15.0]
         rng = np.random.default_rng(9)
         arrays = [rng.standard_normal((3, 2)), rng.standard_normal((3, 2))]
-        err = check_gradients(lambda t: ag.mean_all(ag.gelu(ag.mul(t[0], t[1]))), arrays)
+        err = check_gradients(lambda t: ag.sum_all(ag.gelu(ag.mul(t[0], t[1]))), arrays)
         assert err < 1e-4
 
     def test_scale_values_and_gradient(self):
@@ -247,25 +259,22 @@ class TestRemainingOps:
     def test_reductions_values_and_gradients(self):
         x = Tensor([[1.0, 2.0], [3.0, 4.0]])
         assert ag.sum_all(x).item() == 10.0
-        assert ag.mean_all(x).item() == 2.5
         assert ag.sum_axis(x, 0).data.tolist() == [4.0, 6.0]
-        assert ag.mean_axis(x, 1).data.tolist() == [1.5, 3.5]
         rng = np.random.default_rng(17)
         arr = rng.standard_normal((3, 4))
         w = rng.standard_normal(4)
         err = check_gradients(
-            lambda t: ag.sum_all(ag.mul(ag.mean_axis(t[0], 0), Tensor(w))), [arr]
+            lambda t: ag.sum_all(ag.mul(ag.sum_axis(t[0], 0), Tensor(w))), [arr]
         )
         assert err < 1e-4
 
     def test_transpose_and_reshape_roundtrip(self):
         x = Tensor(np.arange(6.0).reshape(2, 3))
-        np.testing.assert_array_equal(ag.transpose(ag.transpose(x)).data, x.data)
         np.testing.assert_array_equal(ag.reshape(ag.reshape(x, (6,)), (2, 3)).data, x.data)
         arr = np.random.default_rng(18).standard_normal((2, 3))
         w = np.random.default_rng(19).standard_normal((3, 2))
         err = check_gradients(
-            lambda t: ag.sum_all(ag.mul(ag.transpose(t[0]), Tensor(w))), [arr]
+            lambda t: ag.sum_all(ag.mul(ag.permute(t[0], (1, 0)), Tensor(w))), [arr]
         )
         assert err < 1e-4
 
@@ -295,7 +304,6 @@ class TestBatchedOps:
     def test_permute_and_transpose_invert(self):
         x = Tensor(np.arange(24.0).reshape(2, 3, 4))
         np.testing.assert_array_equal(ag.permute(x, (1, 2, 0)).data, x.data.transpose(1, 2, 0))
-        np.testing.assert_array_equal(ag.transpose(x).data, x.data.transpose(0, 2, 1))
         with pytest.raises(ValueError, match="permute axes"):
             ag.permute(x, (0, 1))
 
@@ -403,3 +411,9 @@ class TestStructuralInvariants:
         with ag.no_grad():
             out = ag.sigmoid(x)
         assert not out.requires_grad and out._vjp is None
+
+
+def test_every_op_has_a_gradcheck_trial():
+    not_ops = {"Tensor", "DropoutRng", "no_grad", "backward"}
+    ops = {"slice" if name.startswith("slice_") else name for name in ag.__all__} - not_ops
+    assert ops <= set(OP_TRIALS), sorted(ops - set(OP_TRIALS))

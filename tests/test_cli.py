@@ -92,6 +92,16 @@ class TestExtractKeywords:
         ranks = [int(line.split("\t")[2]) for line in lines]
         assert ranks == [1, 2, 3, 4, 5, 6]
 
+    def test_negative_n_is_a_one_line_error(self, workspace, tmp_path, capsys):
+        out = tmp_path / "keywords.tsv"
+        assert main([
+            "extract-keywords", "--general", str(workspace / "data" / "general.txt"),
+            "--domain", str(workspace / "data" / "domain.txt"), "--n", "-1", "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "keyword count n" in err[0], err
+        assert not out.exists()
+
 
 class TestSampleFewshot:
     def test_writes_split_files(self, workspace, tmp_path):
@@ -103,6 +113,15 @@ class TestSampleFewshot:
         manifest = json.loads((tmp_path / "split.json").read_text())
         assert manifest["shots"] == 4
         assert all((tmp_path / f"{p}.tsv").exists() for p in ("train", "dev", "test"))
+
+    def test_negative_shots_is_a_one_line_error(self, workspace, tmp_path, capsys):
+        assert main([
+            "sample-fewshot", "--data", str(workspace / "data" / "dataset.tsv"),
+            "--shots", "-1", "--out", str(tmp_path / "split"),
+        ]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "shots must be >= 1" in err[0], err
+        assert not (tmp_path / "split").exists()
 
 
 class TestTrainCli:
@@ -199,6 +218,20 @@ class TestUnknownInputs:
         assert main(["train", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "config key grad_clip" in err[0], err
+
+    def test_negative_seed_is_one_line_naming_the_key(self, workspace, tmp_path, capsys):
+        cfg_path = tmp_path / "negative_seed.cfg"
+        make_config_file(workspace, cfg_path)
+        with cfg_path.open("a", encoding="utf-8") as handle:
+            handle.write("\nseeds = [-1]\n")
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "config key seeds" in err[0], err
+
+    def test_non_integer_seed_flag_is_one_line_naming_it(self, workspace, capsys):
+        assert main(["train"] + run_flags(workspace) + ["--seeds", "0,a"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "--seeds" in err[0] and "'0,a'" in err[0], err
 
 
 class TestOneBackbone:

@@ -92,6 +92,11 @@ class TestSampleFewshot:
         with pytest.raises(ValueError, match="class 'red' has 7 examples"):
             sample_fewshot(toy_dataset(per_class=7), shots=4, seed=0)
 
+    @pytest.mark.parametrize("shots", [0, -1])
+    def test_shots_below_one_rejected(self, shots):
+        with pytest.raises(ValueError, match=f"shots must be >= 1, got {shots}"):
+            sample_fewshot(toy_dataset(per_class=7), shots=shots, seed=0)
+
     def test_stable_under_record_permutation(self):
         ds = toy_dataset(per_class=15)
         rng = np.random.default_rng(4)

@@ -139,6 +139,13 @@ class TestSelectKeywords:
         with pytest.raises(ValueError, match="only 2 words"):
             select_keywords(general, domain, alpha=-1.0, n=3)
 
+    def test_negative_n_rejected_and_zero_selects_nothing(self):
+        general = compute_stats(["x"], "general")
+        domain = compute_stats(["y z"], "domain")
+        with pytest.raises(ValueError, match="keyword count n must be >= 0, got -1"):
+            select_keywords(general, domain, alpha=-1.0, n=-1)
+        assert select_keywords(general, domain, alpha=-1.0, n=0).words == []
+
     def test_matches_brute_force_on_random_corpora(self):
         rng = np.random.default_rng(1)
         for trial in range(50):
@@ -293,4 +300,15 @@ class TestKeywordFileIO:
         path = tmp_path / "bad.tsv"
         path.write_text("word_without_fields\n")
         with pytest.raises(ValueError, match=":1:"):
+            read_keywords(path)
+
+    @pytest.mark.parametrize("line, problem", [
+        ("beta\tnotanumber\t2", "score 'notanumber' is not a number"),
+        ("\t0.5\t2", "empty keyword"),
+        (" \t0.5\t2", "empty keyword"),
+    ])
+    def test_bad_field_names_file_and_line(self, tmp_path, line, problem):
+        path = tmp_path / "bad.tsv"
+        path.write_text(f"alpha\t0.75\t1\n{line}\n")
+        with pytest.raises(ValueError, match=f"bad.tsv:2: {problem}"):
             read_keywords(path)

@@ -373,6 +373,11 @@ class TestConfigParsing:
         ("mlm_lr", 0.0),
         ("alpha", 0.5),
         ("alpha", 0.0),
+        ("backbone_init_std", -1.0),
+        ("backbone_seed", -1),
+        ("split_seed", -1),
+        ("seeds", [-1]),
+        ("seeds", [0, -2]),
     ])
     def test_bad_value_rejected_naming_the_key(self, key, value):
         with pytest.raises(ValueError, match=f"config key {key}"):
@@ -389,6 +394,12 @@ class TestConfigParsing:
     def test_unused_prompt_part_may_have_length_zero(self):
         RunConfig(variant="keywords-only", soft_prompt_len=0)
         RunConfig(variant="soft-only", num_keywords=0)
+
+    def test_unused_prompt_part_may_not_be_negative(self):
+        with pytest.raises(ValueError, match="config key soft_prompt_len: must be >= 0"):
+            RunConfig(variant="keywords-only", soft_prompt_len=-2)
+        with pytest.raises(ValueError, match="config key num_keywords: must be >= 0"):
+            RunConfig(variant="soft-only", num_keywords=-3)
 
     def test_mix_no_concat_with_unequal_lengths_rejected(self):
         with pytest.raises(ValueError, match="mix-no-concat"):
