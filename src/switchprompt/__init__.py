@@ -28,12 +28,9 @@ from .keywords import (
 from .prompts import (
     PromptState,
     Variant,
-    compose_domain_prompt,
     compose_with_gates,
-    compute_gates,
     gate,
     init_prompt_state,
-    pad_prompt,
     per_layer_prompts,
 )
 from .runner import PromptedClassifier, RunConfig, RunResult, ablate, evaluate, train

@@ -101,9 +101,6 @@ class Tensor:
             raise ValueError(f"item() requires a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 

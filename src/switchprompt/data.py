@@ -91,6 +91,8 @@ def sample_fewshot(dataset: LabeledDataset, shots: int, seed: int) -> FewShotSpl
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     by_class: dict[str, list[int]] = {label: [] for label in dataset.label_map}
     order = sorted(
         range(len(dataset.examples)),
@@ -166,25 +168,6 @@ def write_split(out_dir: str | Path, split: FewShotSplit) -> None:
     (out_dir / "split.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-def load_split(out_dir: str | Path) -> FewShotSplit:
-    out_dir = Path(out_dir)
-    manifest = json.loads((out_dir / "split.json").read_text(encoding="utf-8"))
-    parts = {name: load_dataset(out_dir / f"{name}.tsv") for name in ("train", "dev", "test")}
-    label_map = {str(k): int(v) for k, v in manifest["label_map"].items()}
-    for part in parts.values():
-        part.label_map = label_map
-    return FewShotSplit(
-        train=parts["train"],
-        dev=parts["dev"],
-        test=parts["test"],
-        shots=int(manifest["shots"]),
-        seed=int(manifest["seed"]),
-        train_indices=list(manifest["indices"]["train"]),
-        dev_indices=list(manifest["indices"]["dev"]),
-        test_indices=list(manifest["indices"]["test"]),
-    )
-
-
 @dataclass
 class SyntheticTask:
     general_corpus: list[str]
@@ -212,6 +195,16 @@ def generate_synthetic_domains(
     probability ``filler_prob`` per slot) and tokens of its class, which
     makes the label recoverable from the class-exclusive tokens.
     """
+    counts = dict(
+        filler_vocab=filler_vocab, keywords_per_class=keywords_per_class, num_classes=num_classes,
+        examples_per_class=examples_per_class, tokens_per_example=tokens_per_example,
+        general_docs=general_docs, general_doc_len=general_doc_len,
+    )
+    for name, value in counts.items():
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if not 0.0 <= filler_prob < 1.0:
         raise ValueError(f"filler_prob must be in [0, 1), got {filler_prob}")
     rng = np.random.default_rng(seed)

@@ -151,9 +151,6 @@ class EncoderWeights:
     def named_arrays(self) -> dict[str, np.ndarray]:
         return {name: t.data for name, t in self.tensors.items()}
 
-    def total_size(self) -> int:
-        return sum(t.size for t in self.tensors.values())
-
 
 def pad_batch(sequences: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
     """Right-pad id sequences into a (B, T) array (pad id 0) plus their lengths."""

@@ -311,6 +311,10 @@ def run_suite(
     tol: float = DEFAULT_TOL,
 ) -> list[OpReport]:
     """Run `trials` randomized finite-difference checks per op."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     reports = []
     for op_index, (name, make_trial) in enumerate(OP_TRIALS.items()):
         rng = np.random.default_rng((seed, op_index))

@@ -29,6 +29,14 @@ other fact about a variant follows from its row:
 A variant has V (and its tensors) if an order contains V, and K likewise. g2
 mixes two orders row by row, so they must be equally long; g1 mixes the padded
 soft block with that mix, or with the single order, when both parts are used.
+
+Composition has three entry points. ``gate`` turns a (B, e) batch of
+representations into (B, 1, 1) gate values, ``compose_with_gates`` builds one
+layer's prompt from given gates (the prompted gate input passes scalar 0.5
+gates), and ``per_layer_prompts`` computes both gates once and composes every
+layer. The last two stay separate because the benchmark's tracer patches both
+names on ``runner``; they merge into one batched composer once the program
+has its own trace hook.
 """
 
 from __future__ import annotations
@@ -185,56 +193,17 @@ def init_prompt_state(
     return PromptState.from_arrays(variant, arrays, num_layers, soft_len, n, embed_dim, train_keywords)
 
 
-def pad_prompt(prompt: Tensor, length: int) -> Tensor:
-    """Zero-pad (m, e) to (length, e); gradient flows only to the copied rows."""
-    m, e = prompt.shape
-    if length < m:
-        raise ValueError(f"cannot pad {m} rows down to {length}")
-    if length == m:
-        return prompt
-    return ag.concat([prompt, Tensor(np.zeros((length - m, e)))], axis=0)
-
-
 def gate(weights: Tensor, sentence_repr: Tensor) -> Tensor:
-    """sigmoid(weights . s) in (0, 1): a scalar for an (e,) input, (B, 1, 1) for (B, e)."""
-    if (
-        len(weights.shape) != 1
-        or len(sentence_repr.shape) not in (1, 2)
-        or sentence_repr.shape[-1] != weights.shape[0]
-    ):
+    """sigmoid(weights . s) in (0, 1), as (B, 1, 1) for a (B, e) batch of representations."""
+    if len(weights.shape) != 1 or len(sentence_repr.shape) != 2 or sentence_repr.shape[1] != weights.shape[0]:
         raise ValueError(f"gate dimension mismatch: weights {weights.shape} vs input {sentence_repr.shape}")
     logit = ag.sum_axis(ag.mul(sentence_repr, weights), -1)
-    if len(sentence_repr.shape) == 2:
-        logit = ag.reshape(logit, (-1, 1, 1))
-    return ag.sigmoid(logit)
-
-
-def compose_domain_prompt(soft: Tensor, keywords: Tensor, gate2: Tensor) -> Tensor:
-    """Convex mix of the two concatenation orders, row by row."""
-    if soft.shape[1] != keywords.shape[1]:
-        raise ValueError(f"embed dims differ: soft {soft.shape} vs keywords {keywords.shape}")
-    return _domain_prompt(Variant.SWITCHPROMPT.orders, {"V": soft, "K": keywords}, gate2)
-
-
-def _domain_prompt(orders: tuple[str, ...], blocks: dict[str, Tensor], g2: Tensor | None) -> Tensor:
-    """The single order, or the g2 mix of the two."""
-    candidates = [
-        ag.concat([blocks[part] for part in order], axis=0) if len(order) > 1 else blocks[order]
-        for order in orders
-    ]
-    return _convex_mix(g2, *candidates) if len(candidates) == 2 else candidates[0]
+    return ag.sigmoid(ag.reshape(logit, (-1, 1, 1)))
 
 
 def _convex_mix(g: Tensor, a: Tensor, b: Tensor) -> Tensor:
     one_minus = ag.add(ag.scale(g, -1.0), Tensor(1.0))
     return ag.add(ag.mul(g, a), ag.mul(one_minus, b))
-
-
-def compute_gates(state: PromptState, sentence_repr: Tensor) -> tuple[Tensor | None, Tensor | None]:
-    """The (g1, g2) pair for an input or a batch; shared by every layer's composition."""
-    g1 = gate(state.gate1_weights, sentence_repr) if state.gate1_weights is not None else None
-    g2 = gate(state.gate2_weights, sentence_repr) if state.gate2_weights is not None else None
-    return g1, g2
 
 
 def compose_with_gates(
@@ -247,22 +216,28 @@ def compose_with_gates(
     variant does not use are ignored.
     """
     variant = state.variant
-    soft = state.soft_prompts[layer] if variant.uses("V") else None
-    domain = _domain_prompt(variant.orders, {"V": soft, "K": state.keyword_vectors}, g2)
+    blocks = {"V": state.soft_prompts[layer] if variant.uses("V") else None, "K": state.keyword_vectors}
+    # the single order, or the g2 mix of the two
+    orders = [
+        ag.concat([blocks[part] for part in order], axis=0) if len(order) > 1 else blocks[order]
+        for order in variant.orders
+    ]
+    domain = _convex_mix(g2, *orders) if len(orders) == 2 else orders[0]
     if not variant.uses_gate1:
         return domain
-    return _convex_mix(g1, pad_prompt(soft, domain.shape[-2]), domain)
+    soft = blocks["V"]
+    (m, e), length = soft.shape, domain.shape[-2]
+    padded = soft if length == m else ag.concat([soft, Tensor(np.zeros((length - m, e)))], axis=0)
+    return _convex_mix(g1, padded, domain)
 
 
 def per_layer_prompts(state: PromptState, sentence_repr: Tensor, num_layers: int) -> list[Tensor]:
-    """One composed prompt per layer; gate values are computed once and shared.
-
-    `sentence_repr` is one (e,) representation or a (B, e) batch of them.
-    """
+    """One composed prompt per layer for a (B, e) batch; gate values are computed once and shared."""
     if state.soft_prompts is not None and len(state.soft_prompts) != num_layers:
         raise ValueError(
             f"prompt state has {len(state.soft_prompts)} per-layer soft prompts, "
             f"encoder has {num_layers} layers"
         )
-    g1, g2 = compute_gates(state, sentence_repr)
+    g1 = gate(state.gate1_weights, sentence_repr) if state.gate1_weights is not None else None
+    g2 = gate(state.gate2_weights, sentence_repr) if state.gate2_weights is not None else None
     return [compose_with_gates(state, g1, g2, layer) for layer in range(num_layers)]

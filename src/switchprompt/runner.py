@@ -33,7 +33,7 @@ import numpy as np
 from . import autograd as ag
 from .autograd import DropoutRng, Tensor
 from .checkpoint import load_checkpoint, save_checkpoint
-from .data import FewShotSplit, LabeledDataset, read_corpus, read_text
+from .data import FewShotSplit, LabeledDataset, read_corpus
 from .encoder import (
     ClassificationHead,
     EncoderConfig,
@@ -213,10 +213,6 @@ def _parse_value(value: str):
     except json.JSONDecodeError:
         pass
     return value.split("#", 1)[0].strip()
-
-
-def load_config(path: str | Path) -> RunConfig:
-    return RunConfig.from_dict(parse_config_text(read_text(path)))
 
 
 @dataclass

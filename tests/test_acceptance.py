@@ -26,14 +26,7 @@ from switchprompt.encoder import (
 from switchprompt.gradcheck import run_suite
 from switchprompt.keywords import compute_stats, select_keywords
 from switchprompt.optim import Adam
-from switchprompt.prompts import (
-    compose_domain_prompt,
-    compose_with_gates,
-    compute_gates,
-    init_prompt_state,
-    pad_prompt,
-    per_layer_prompts,
-)
+from switchprompt.prompts import compose_with_gates, gate, init_prompt_state, per_layer_prompts
 from switchprompt.runner import RunConfig, train
 
 
@@ -123,17 +116,19 @@ def test_criterion_3_equation_fidelity():
     # gate saturation: align the gate weights with the input representation
     s = rng.standard_normal(e)
     state.gate1_weights.data = 20.0 * s / float(s @ s)
-    g1, g2 = compute_gates(state, Tensor(s))
+    g1 = gate(state.gate1_weights, Tensor(s[None]))
+    g2 = gate(state.gate2_weights, Tensor(s[None]))
     composed = compose_with_gates(state, g1, g2, 0)
-    padded = pad_prompt(soft, state.prompt_len)
+    padded = np.vstack([soft.data, np.zeros((state.prompt_len - len(soft.data), e))])
     saturation_ok = (
         g1.item() > 1.0 - 1e-6
-        and float(np.abs(composed.data - padded.data).max()) < 1e-5
+        and float(np.abs(composed.data - padded).max()) < 1e-5
     )
 
     # second-gate extremes reproduce the two concatenation orders bit-exactly
-    vk = compose_domain_prompt(soft, kw, Tensor(1.0)).data
-    kv = compose_domain_prompt(soft, kw, Tensor(0.0)).data
+    # (at g1 = 0 the composed prompt is the domain prompt alone)
+    vk = compose_with_gates(state, Tensor(0.0), Tensor(1.0), 0).data
+    kv = compose_with_gates(state, Tensor(0.0), Tensor(0.0), 0).data
     extremes_ok = np.array_equal(vk, np.vstack([soft.data, kw.data])) and np.array_equal(
         kv, np.vstack([kw.data, soft.data])
     )
@@ -163,7 +158,7 @@ def test_criterion_3_equation_fidelity():
         "equation fidelity: gate saturation, concatenation extremes, variant eliminations",
         saturation_ok and extremes_ok and variants_ok,
         f"g1={g1.item():.12f}, max|P - pad| = "
-        f"{float(np.abs(composed.data - padded.data).max()):.2e}",
+        f"{float(np.abs(composed.data - padded).max()):.2e}",
     )
 
 

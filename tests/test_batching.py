@@ -74,7 +74,7 @@ def per_example_logits(model, texts, train=False, rng=None):
 
 def gradients(model, build):
     for p in model.parameters():
-        p.zero_grad()
+        p.grad = None
     ag.backward(build())
     return [p.grad.copy() for p in model.parameters()]
 

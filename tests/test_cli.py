@@ -84,6 +84,21 @@ class TestGenSynthetic:
         assert len(lines) == 60
         assert all("\t" in line for line in lines)
 
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--classes", "0", "num_classes"),
+        ("--examples-per-class", "-2", "examples_per_class"),
+        ("--tokens-per-example", "0", "tokens_per_example"),
+        ("--keywords-per-class", "0", "keywords_per_class"),
+        ("--filler-vocab", "0", "filler_vocab"),
+        ("--seed", "-1", "seed"),
+    ])
+    def test_bad_count_is_one_line_and_writes_nothing(self, tmp_path, capsys, flag, value, name):
+        out = tmp_path / "task"
+        assert main(["gen-synthetic", "--out", str(out), flag, value]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {name} must be"), err
+        assert not out.exists()
+
 
 class TestExtractKeywords:
     def test_keyword_file_has_ranked_records(self, workspace):
@@ -121,6 +136,15 @@ class TestSampleFewshot:
         ]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "shots must be >= 1" in err[0], err
+        assert not (tmp_path / "split").exists()
+
+    def test_negative_seed_is_a_one_line_error(self, workspace, tmp_path, capsys):
+        assert main([
+            "sample-fewshot", "--data", str(workspace / "data" / "dataset.tsv"),
+            "--shots", "4", "--seed", "-1", "--out", str(tmp_path / "split"),
+        ]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: seed must be >= 0, got -1"], err
         assert not (tmp_path / "split").exists()
 
 
@@ -193,6 +217,17 @@ class TestGradcheckCli:
         assert main(["gradcheck", "--trials", "3"]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("PASS")]
         assert len(lines) == len(OP_TRIALS)
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--trials", "0", "trials must be >= 1, got 0"),
+        ("--trials", "-1", "trials must be >= 1, got -1"),
+        ("--seed", "-1", "seed must be >= 0, got -1"),
+    ])
+    def test_bad_argument_is_one_line_and_checks_nothing(self, capsys, flag, value, message):
+        assert main(["gradcheck", flag, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
 
 
 class TestUnknownInputs:

@@ -1,5 +1,7 @@
 """Dataset loading, few-shot protocol and the synthetic domain-shift generator."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from switchprompt.data import (
     bag_of_keywords_accuracy,
     generate_synthetic_domains,
     load_dataset,
-    load_split,
     sample_fewshot,
     save_dataset,
     write_split,
@@ -97,6 +98,10 @@ class TestSampleFewshot:
         with pytest.raises(ValueError, match=f"shots must be >= 1, got {shots}"):
             sample_fewshot(toy_dataset(per_class=7), shots=shots, seed=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            sample_fewshot(toy_dataset(per_class=8), shots=4, seed=-1)
+
     def test_stable_under_record_permutation(self):
         ds = toy_dataset(per_class=15)
         rng = np.random.default_rng(4)
@@ -121,11 +126,10 @@ class TestSampleFewshot:
     def test_split_files_roundtrip(self, tmp_path):
         split = sample_fewshot(toy_dataset(per_class=12), shots=4, seed=5)
         write_split(tmp_path, split)
-        loaded = load_split(tmp_path)
-        assert loaded.train.examples == split.train.examples
-        assert loaded.dev.examples == split.dev.examples
-        assert loaded.test.examples == split.test.examples
-        assert loaded.shots == 4 and loaded.seed == 5
+        for name in ("train", "dev", "test"):
+            assert load_dataset(tmp_path / f"{name}.tsv").examples == getattr(split, name).examples
+        manifest = json.loads((tmp_path / "split.json").read_text(encoding="utf-8"))
+        assert manifest["shots"] == 4 and manifest["seed"] == 5
 
 
 class TestSyntheticGenerator:
@@ -172,3 +176,14 @@ class TestSyntheticGenerator:
     def test_invalid_filler_probability(self):
         with pytest.raises(ValueError, match="filler_prob"):
             generate_synthetic_domains(seed=0, filler_prob=1.0)
+
+    @pytest.mark.parametrize("name, value", [
+        ("num_classes", 0), ("examples_per_class", -2), ("tokens_per_example", 0),
+        ("keywords_per_class", 0), ("filler_vocab", 0), ("general_docs", 0),
+        ("general_doc_len", 0), ("seed", -1),
+    ])
+    def test_count_that_makes_no_task_is_named(self, name, value):
+        kwargs = {"seed": 0, name: value}
+        bound = ">= 0" if name == "seed" else ">= 1"
+        with pytest.raises(ValueError, match=f"^{name} must be {bound}, got {value}$"):
+            generate_synthetic_domains(**kwargs)

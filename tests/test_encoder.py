@@ -206,7 +206,7 @@ class TestEncodePrompted:
         opt = Adam(params, lr=1e-2)
         before = enc.weights.checksum()
         drop = DropoutRng(0)
-        s_input = Tensor(rng.standard_normal(8))
+        s_input = Tensor(rng.standard_normal((1, 8)))
         for step in range(12):
             drop.begin_step(step)
             prompts = per_layer_prompts(state, s_input, 2)

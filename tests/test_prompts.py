@@ -11,12 +11,9 @@ from switchprompt.gradcheck import check_gradients
 from switchprompt.prompts import (
     Variant,
     PromptState,
-    compose_domain_prompt,
     compose_with_gates,
-    compute_gates,
     gate,
     init_prompt_state,
-    pad_prompt,
     per_layer_prompts,
     prompt_shapes,
 )
@@ -31,86 +28,106 @@ def make_state(variant, rng=None, layers=2, m=2, n=3, train_keywords=False):
                              rng=rng, train_keywords=train_keywords)
 
 
+def gates(state, sentence_repr):
+    """(g1, g2) for a (B, e) batch as `per_layer_prompts` computes them; None where unused."""
+    return tuple(
+        gate(w, sentence_repr) if w is not None else None
+        for w in (state.gate1_weights, state.gate2_weights)
+    )
+
+
 def compose(state, sentence_repr, layer):
     """One layer's prompt with the gates computed from `sentence_repr`."""
-    return compose_with_gates(state, *compute_gates(state, sentence_repr), layer)
+    return compose_with_gates(state, *gates(state, sentence_repr), layer)
+
+
+def padded_soft(state, layer=0):
+    """The layer's soft rows followed by zero rows, prompt_len rows in all."""
+    soft = state.soft_prompts[layer].data
+    return np.vstack([soft, np.zeros((state.prompt_len - len(soft), EMBED))])
 
 
 class TestPadPrompt:
-    def test_equal_length_is_identity(self):
-        p = Tensor(np.random.default_rng(1).standard_normal((3, EMBED)))
-        assert pad_prompt(p, 3) is p
+    """At g1 = 1 the composed prompt is the zero-padded soft block."""
 
     def test_pads_with_zero_rows(self):
-        p = Tensor(np.arange(2.0 * EMBED).reshape(2, EMBED))
-        out = pad_prompt(p, 3)
-        np.testing.assert_array_equal(out.data[:2], p.data)
-        np.testing.assert_array_equal(out.data[2], np.zeros(EMBED))
-
-    def test_shorter_target_rejected(self):
-        with pytest.raises(ValueError, match="pad"):
-            pad_prompt(Tensor(np.zeros((3, EMBED))), 2)
+        state = make_state("switchprompt", m=2, n=3)
+        out = compose_with_gates(state, Tensor(1.0), Tensor(0.5), 0)
+        np.testing.assert_array_equal(out.data[:2], state.soft_prompts[0].data)
+        np.testing.assert_array_equal(out.data[2:], np.zeros((3, EMBED)))
 
     def test_gradient_flows_only_to_copied_rows(self):
-        arr = np.random.default_rng(2).standard_normal((2, EMBED))
-        err = check_gradients(lambda t: ag.sum_all(pad_prompt(t[0], 5)), [arr])
-        assert err < 1e-4
+        state = make_state("switchprompt", rng=np.random.default_rng(2), m=2, n=3)
+
+        def composed_sum(t):
+            tensors = {**state.tensors, "prompt.layer0.soft": t[0]}
+            return ag.sum_all(
+                compose_with_gates(PromptState(state.variant, tensors), Tensor(1.0), Tensor(0.5), 0)
+            )
+
+        arr = state.soft_prompts[0].data.copy()
+        assert check_gradients(composed_sum, [arr]) < 1e-4
         p = Tensor(arr, requires_grad=True)
-        ag.backward(ag.sum_all(pad_prompt(p, 5)))
+        ag.backward(composed_sum([p]))
         np.testing.assert_array_equal(p.grad, np.ones((2, EMBED)))
 
 
 class TestGate:
     def test_zero_weights_give_half(self):
         for _ in range(3):
-            s = Tensor(np.random.default_rng(3).standard_normal(EMBED))
+            s = Tensor(np.random.default_rng(3).standard_normal((1, EMBED)))
             assert gate(Tensor(np.zeros(EMBED)), s).item() == 0.5
 
     def test_sign_flip_sums_to_one(self):
         rng = np.random.default_rng(4)
-        w, s = Tensor(rng.standard_normal(EMBED)), rng.standard_normal(EMBED)
+        w, s = Tensor(rng.standard_normal(EMBED)), rng.standard_normal((1, EMBED))
         total = gate(w, Tensor(s)).item() + gate(w, Tensor(-s)).item()
         assert abs(total - 1.0) < 1e-12
 
     def test_aligned_weights_saturate(self):
         s = np.random.default_rng(5).standard_normal(EMBED)
         w = 100.0 * s / float(s @ s)
-        assert gate(Tensor(w), Tensor(s)).item() > 0.9999
+        assert gate(Tensor(w), Tensor(s[None])).item() > 0.9999
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            gate(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+            gate(Tensor(np.zeros(3)), Tensor(np.zeros((1, 4))))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            gate(Tensor(np.zeros(4)), Tensor(np.zeros(4)))  # one (e,) vector, not a batch
 
     def test_differentiable_in_weights(self):
         rng = np.random.default_rng(6)
-        s = rng.standard_normal(EMBED)
-        err = check_gradients(lambda t: gate(t[0], Tensor(s)), [rng.standard_normal(EMBED)])
+        s = rng.standard_normal((1, EMBED))
+        err = check_gradients(lambda t: ag.sum_all(gate(t[0], Tensor(s))), [rng.standard_normal(EMBED)])
         assert err < 1e-4
+
+
+def domain_prompt(state, g2):
+    """The g2 mix of [V; K] and [K; V]: the composed prompt at g1 = 0."""
+    return compose_with_gates(state, Tensor(0.0), Tensor(g2), 0)
 
 
 class TestComposeDomainPrompt:
     def setup_method(self):
-        rng = np.random.default_rng(7)
-        self.soft = Tensor(rng.standard_normal((2, EMBED)))
-        self.kw = Tensor(rng.standard_normal((3, EMBED)))
+        self.state = make_state("switchprompt", rng=np.random.default_rng(7), m=2, n=3)
+        self.soft, self.kw = self.state.soft_prompts[0], self.state.keyword_vectors
 
     def test_gate_one_gives_soft_first(self):
-        out = compose_domain_prompt(self.soft, self.kw, Tensor(1.0))
+        out = domain_prompt(self.state, 1.0)
         np.testing.assert_array_equal(
             out.data, np.vstack([self.soft.data, self.kw.data])
         )
 
     def test_gate_zero_gives_keywords_first(self):
-        out = compose_domain_prompt(self.soft, self.kw, Tensor(0.0))
+        out = domain_prompt(self.state, 0.0)
         np.testing.assert_array_equal(
             out.data, np.vstack([self.kw.data, self.soft.data])
         )
 
     def test_half_gate_averages_equal_length_blocks(self):
-        rng = np.random.default_rng(8)
-        soft = Tensor(rng.standard_normal((3, EMBED)))
-        kw = Tensor(rng.standard_normal((3, EMBED)))
-        out = compose_domain_prompt(soft, kw, Tensor(0.5))
+        state = make_state("switchprompt", rng=np.random.default_rng(8), m=3, n=3)
+        soft, kw = state.soft_prompts[0], state.keyword_vectors
+        out = domain_prompt(state, 0.5)
         a = np.vstack([soft.data, kw.data])
         b = np.vstack([kw.data, soft.data])
         # row-by-row average of the two orders, checked elementwise
@@ -119,17 +136,13 @@ class TestComposeDomainPrompt:
     def test_complementary_gates_sum_to_both_orders(self):
         for g in (0.23, 0.5, 0.71):
             lhs = (
-                compose_domain_prompt(self.soft, self.kw, Tensor(g)).data
-                + compose_domain_prompt(self.soft, self.kw, Tensor(1.0 - g)).data
+                domain_prompt(self.state, g).data
+                + domain_prompt(self.state, 1.0 - g).data
             )
             both = np.vstack([self.soft.data, self.kw.data]) + np.vstack(
                 [self.kw.data, self.soft.data]
             )
             np.testing.assert_allclose(lhs, both, atol=1e-12)
-
-    def test_embed_dim_mismatch(self):
-        with pytest.raises(ValueError, match="embed dims differ"):
-            compose_domain_prompt(Tensor(np.zeros((2, 4))), self.kw, Tensor(0.5))
 
 
 class TestComposePromptVariants:
@@ -148,17 +161,16 @@ class TestComposePromptVariants:
         state = make_state("switchprompt")
         s = np.random.default_rng(9).standard_normal(EMBED)
         state.gate1_weights.data = 100.0 * s / float(s @ s)
-        out = compose(state, Tensor(s), layer=0)
-        padded = pad_prompt(state.soft_prompts[0], state.prompt_len)
-        assert float(np.abs(out.data - padded.data).max()) < 1e-6
+        out = compose(state, Tensor(s[None]), layer=0)
+        assert float(np.abs(out.data - padded_soft(state)).max()) < 1e-6
 
     def test_concat_variants_recovered_from_full_formula_by_pinning_gate2(self):
         rng = np.random.default_rng(10)
         full = make_state("switchprompt", rng=np.random.default_rng(42))
         vk = make_state("concat-vk", rng=np.random.default_rng(42))
         kv = make_state("concat-kv", rng=np.random.default_rng(42))
-        s = Tensor(rng.standard_normal(EMBED))
-        g1, _ = compute_gates(full, s)
+        s = Tensor(rng.standard_normal((1, EMBED)))
+        g1, _ = gates(full, s)
         np.testing.assert_array_equal(
             compose_with_gates(full, g1, Tensor(1.0), 0).data,
             compose_with_gates(vk, g1, None, 0).data,
@@ -172,11 +184,9 @@ class TestComposePromptVariants:
         # keywords-only: the domain prompt with the outer gate pinned to 0 and
         # no soft block; soft-only: the padded soft block with the gate at 1
         state = make_state("switchprompt")
-        soft, kw = state.soft_prompts[0], state.keyword_vectors
+        kw = state.keyword_vectors
         full_at_g1_1 = compose_with_gates(state, Tensor(1.0), Tensor(0.5), 0)
-        np.testing.assert_array_equal(
-            full_at_g1_1.data, pad_prompt(soft, state.prompt_len).data
-        )
+        np.testing.assert_array_equal(full_at_g1_1.data, padded_soft(state))
         ko = make_state("keywords-only")
         np.testing.assert_array_equal(ko.keyword_vectors.data, state.keyword_vectors.data)
         np.testing.assert_array_equal(
@@ -210,12 +220,10 @@ class TestConvexity:
     def test_rows_lie_between_the_two_candidates(self):
         rng = np.random.default_rng(11)
         state = make_state("switchprompt", rng=rng)
-        s = Tensor(rng.standard_normal(EMBED))
-        g1, g2 = compute_gates(state, s)
-        padded = pad_prompt(state.soft_prompts[0], state.prompt_len).data
-        domain = compose_domain_prompt(
-            state.soft_prompts[0], state.keyword_vectors, g2
-        ).data
+        s = Tensor(rng.standard_normal((1, EMBED)))
+        g1, g2 = gates(state, s)
+        padded = padded_soft(state)
+        domain = compose_with_gates(state, Tensor(0.0), g2, 0).data
         composed = compose_with_gates(state, g1, g2, 0).data
         eps = 1e-12
         assert np.all(composed >= np.minimum(padded, domain) - eps)
@@ -224,7 +232,7 @@ class TestConvexity:
     def test_gate_output_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(12)
         for _ in range(20):
-            g = gate(Tensor(rng.standard_normal(EMBED)), Tensor(rng.standard_normal(EMBED)))
+            g = gate(Tensor(rng.standard_normal(EMBED)), Tensor(rng.standard_normal((1, EMBED))))
             assert 0.0 < g.item() < 1.0
 
 
@@ -232,13 +240,13 @@ class TestInputDependence:
     def test_different_inputs_move_the_gate(self):
         rng = np.random.default_rng(13)
         w = Tensor(rng.standard_normal(EMBED))  # nonzero trained-like weights
-        values = {gate(w, Tensor(rng.standard_normal(EMBED))).item() for _ in range(8)}
+        values = {gate(w, Tensor(rng.standard_normal((1, EMBED)))).item() for _ in range(8)}
         assert len(values) == 8  # all distinct with probability one
 
     def test_composed_prompt_depends_on_the_input(self):
         rng = np.random.default_rng(14)
         state = make_state("switchprompt", rng=rng)
-        s1, s2 = rng.standard_normal(EMBED), rng.standard_normal(EMBED)
+        s1, s2 = rng.standard_normal((1, EMBED)), rng.standard_normal((1, EMBED))
         p1 = compose(state, Tensor(s1), 0).data
         p2 = compose(state, Tensor(s2), 0).data
         assert not np.array_equal(p1, p2)
@@ -248,9 +256,9 @@ class TestGradientRouting:
     def test_full_variant_gradients_reach_soft_and_gates_not_fixed_keywords(self):
         rng = np.random.default_rng(15)
         state = make_state("switchprompt", rng=rng)
-        s = Tensor(rng.standard_normal(EMBED))
+        s = Tensor(rng.standard_normal((1, EMBED)))
         prompts = per_layer_prompts(state, s, 2)
-        loss = ag.sum_all(ag.mul(ag.concat(prompts, axis=0),
+        loss = ag.sum_all(ag.mul(ag.concat(prompts, axis=1),
                                  Tensor(rng.standard_normal((2 * state.prompt_len, EMBED)))))
         ag.backward(loss)
         for soft in state.soft_prompts:
@@ -263,7 +271,7 @@ class TestGradientRouting:
     def test_trainable_keywords_receive_gradient_when_enabled(self):
         rng = np.random.default_rng(16)
         state = make_state("switchprompt", rng=rng, train_keywords=True)
-        s = Tensor(rng.standard_normal(EMBED))
+        s = Tensor(rng.standard_normal((1, EMBED)))
         loss = ag.sum_all(ag.mul(compose(state, s, 0),
                                  Tensor(rng.standard_normal((state.prompt_len, EMBED)))))
         ag.backward(loss)
@@ -275,7 +283,7 @@ class TestPerLayerPrompts:
     def test_single_layer_matches_compose_with_gates(self):
         rng = np.random.default_rng(17)
         state = make_state("switchprompt", rng=np.random.default_rng(99), layers=1)
-        s = Tensor(rng.standard_normal(EMBED))
+        s = Tensor(rng.standard_normal((1, EMBED)))
         stack = per_layer_prompts(state, s, 1)
         assert len(stack) == 1
         np.testing.assert_array_equal(stack[0].data, compose(state, s, 0).data)
@@ -283,13 +291,13 @@ class TestPerLayerPrompts:
     def test_layer_count_mismatch(self):
         state = make_state("switchprompt")
         with pytest.raises(ValueError, match="layers"):
-            per_layer_prompts(state, Tensor(np.zeros(EMBED)), 3)
+            per_layer_prompts(state, Tensor(np.zeros((1, EMBED))), 3)
 
     def test_gates_shared_across_layers(self):
         rng = np.random.default_rng(18)
         state = make_state("switchprompt", rng=rng)
-        s = Tensor(rng.standard_normal(EMBED))
-        g1, g2 = compute_gates(state, s)
+        s = Tensor(rng.standard_normal((1, EMBED)))
+        g1, g2 = gates(state, s)
         stack = per_layer_prompts(state, s, 2)
         for layer, prompt in enumerate(stack):
             expected = compose_with_gates(state, g1, g2, layer)
@@ -304,14 +312,14 @@ class TestPerLayerPrompts:
         state = init_prompt_state("switchprompt", 2, EMBED, 2, kw, np.random.default_rng(20))
         for soft in state.soft_prompts:
             soft.data = shared.copy()
-        s = Tensor(rng.standard_normal(EMBED))
+        s = Tensor(rng.standard_normal((1, EMBED)))
         stack = per_layer_prompts(state, s, 2)
         np.testing.assert_array_equal(stack[0].data, stack[1].data)
 
         # one gradient step with layer-asymmetric loss weights
         opt = Adam(state.parameters(), lr=0.1)
         weights = Tensor(rng.standard_normal((2 * state.prompt_len, EMBED)))
-        ag.backward(ag.sum_all(ag.mul(ag.concat(stack, axis=0), weights)))
+        ag.backward(ag.sum_all(ag.mul(ag.concat(stack, axis=1), weights)))
         opt.step()
         after = per_layer_prompts(state, s, 2)
         assert not np.array_equal(after[0].data, after[1].data)
@@ -353,7 +361,7 @@ class TestVariantTable:
     def test_composed_prompt_has_prompt_len_rows(self, variant):
         state = any_state(variant)
         rng = np.random.default_rng(21)
-        for s in (rng.standard_normal(EMBED), rng.standard_normal((4, EMBED))):
+        for s in (rng.standard_normal((1, EMBED)), rng.standard_normal((4, EMBED))):
             for prompt in per_layer_prompts(state, Tensor(s), 2):
                 assert prompt.shape[-2:] == (state.prompt_len, EMBED)
         # neutral gates, as the prompted gate input passes them to every variant

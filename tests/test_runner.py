@@ -18,7 +18,6 @@ from switchprompt.runner import (
     _build_backbone,
     ablate,
     evaluate,
-    load_config,
     load_model,
     parse_config_text,
     train,
@@ -141,7 +140,9 @@ class TestTrain:
         frozen = train(tiny_config, tiny_split, tiny_keywords)
         unfrozen = train(replace(tiny_config, freeze_backbone=False), tiny_split, tiny_keywords)
         tokenizer, encoder = _build_backbone(tiny_config, tiny_split, tiny_keywords)
-        assert unfrozen.trainable_params - frozen.trainable_params == encoder.weights.total_size()
+        assert unfrozen.trainable_params - frozen.trainable_params == sum(
+            t.size for t in encoder.weights.tensors.values()
+        )
 
     def test_best_dev_tie_goes_to_earlier_epoch(self, tiny_config, tiny_split, tiny_keywords,
                                                 tmp_path):
@@ -408,7 +409,7 @@ class TestConfigParsing:
     def test_config_file_roundtrip(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text('variant = "keywords-only"\nepochs = 3\nseeds = [7]\n')
-        cfg = load_config(path)
+        cfg = RunConfig.from_dict(parse_config_text(path.read_text()))
         assert cfg.variant == "keywords-only"
         assert cfg.epochs == 3
         assert cfg.seeds == [7]
@@ -436,7 +437,7 @@ class TestConfigParsing:
         text = "".join(f"{key} = {json.dumps(value)}\n" for key, value in config.to_dict().items())
         path = tmp_path / "run.cfg"
         path.write_text(text, encoding="utf-8")
-        assert load_config(path) == config
+        assert RunConfig.from_dict(parse_config_text(path.read_text(encoding="utf-8"))) == config
 
     def test_every_key_changed_covers_every_key(self):
         defaults = RunConfig().to_dict()
