@@ -70,6 +70,8 @@ def load_dataset(path: str | Path, domain: str = "unspecified") -> LabeledDatase
         label, sep, text = line.partition("\t")
         if not sep or not label:
             raise ValueError(f"{path}:{lineno}: expected label<TAB>text, got {line!r}")
+        if not text.strip():
+            raise ValueError(f"{path}:{lineno}: empty text")
         if label not in label_map:
             label_map[label] = len(label_map)
         examples.append((text, label))

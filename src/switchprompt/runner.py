@@ -107,9 +107,10 @@ class RunConfig:
             value = getattr(self, key)
             if not isinstance(value, kinds) or (type(value) is bool) != (bool in kinds):
                 raise ValueError(f"config key {key}: expected {kinds[-1].__name__}, got {value!r}")
-        if not self.seeds or not all(type(seed) is int and seed >= 0 for seed in self.seeds):
+        if (not self.seeds or not all(type(seed) is int and seed >= 0 for seed in self.seeds)
+                or len(set(self.seeds)) < len(self.seeds)):
             raise ValueError(
-                f"config key seeds: must be a non-empty list of ints >= 0, got {self.seeds!r}"
+                f"config key seeds: must be a non-empty list of distinct ints >= 0, got {self.seeds!r}"
             )
         variant = Variant.parse(self.variant)
         for key, ok, rule in (
@@ -396,9 +397,20 @@ def train(
 ) -> RunResult:
     """Run every seed of one configuration; returns the aggregated result."""
     _check_keywords(config, keyword_set)
+    out_dir = _output_dir(config, out_dir)
     backbone = _build_backbone(config, split, keyword_set)
-    out_dir = out_dir if out_dir is not None else config.out_dir or None
     return _train_seeds(config, split, keyword_set, backbone, out_dir)
+
+
+def _output_dir(config: RunConfig, out_dir: str | Path | None) -> str | Path | None:
+    """`out_dir`, else the config's; raises before any compute if it cannot be a directory."""
+    out_dir = out_dir if out_dir is not None else config.out_dir or None
+    if out_dir is not None:
+        path = Path(out_dir)
+        existing = next(p for p in (path, *path.parents) if p.exists())
+        if not existing.is_dir():
+            raise ValueError(f"output directory {out_dir}: {existing} is not a directory")
+    return out_dir
 
 
 def _check_keywords(config: RunConfig, keyword_set: KeywordSet | None) -> None:
@@ -626,8 +638,8 @@ def ablate(
     configs = [replace(config, variant=variant.value) for variant in variants]
     for variant_config in configs:
         _check_keywords(variant_config, keyword_set)
+    out_dir = _output_dir(config, out_dir)
     backbone = _build_backbone(config, split, keyword_set)  # no variant shapes the backbone
-    out_dir = out_dir if out_dir is not None else config.out_dir or None
     results = []
     for variant_config in configs:
         sub_dir = Path(out_dir) / variant_config.variant if out_dir is not None else None

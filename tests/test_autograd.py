@@ -1,5 +1,6 @@
 """Op-level contracts: hand-checkable values plus finite-difference oracles."""
 
+import inspect
 import math
 
 import numpy as np
@@ -416,4 +417,37 @@ class TestStructuralInvariants:
 def test_every_op_has_a_gradcheck_trial():
     not_ops = {"Tensor", "DropoutRng", "no_grad", "backward"}
     ops = {"slice" if name.startswith("slice_") else name for name in ag.__all__} - not_ops
-    assert ops <= set(OP_TRIALS), sorted(ops - set(OP_TRIALS))
+    assert ops == set(OP_TRIALS), sorted(ops ^ set(OP_TRIALS))
+
+
+def _draws(name: str, count: int = 200) -> list:
+    rng = np.random.default_rng(0)
+    return [OP_TRIALS[name](rng) for _ in range(count)]
+
+
+class TestGradcheckTrials:
+    """One trial per op still draws every form of the op that the program runs."""
+
+    def test_matmul_draws_plain_projection_and_broadcast_attention_forms(self):
+        forms = set()
+        for _, (a, b) in _draws("matmul"):
+            if a.ndim == 2:
+                forms.add("2-D @ 2-D")
+            elif b.ndim == 2:
+                forms.add("stacked @ weight")
+            elif any(db == 1 < da for da, db in zip(a.shape[:-2], b.shape[:-2])):
+                forms.add("stacked @ broadcast stacked")
+        assert forms == {"2-D @ 2-D", "stacked @ weight", "stacked @ broadcast stacked"}
+
+    def test_softmax_rows_draws_bare_and_masked_scores(self):
+        masks = [inspect.getclosurevars(op).nonlocals["mask"] for op, _ in _draws("softmax_rows")]
+        assert any(mask is None for mask in masks)
+        assert any(mask is not None and np.isneginf(mask).any() for mask in masks)
+
+    def test_embedding_draws_one_and_two_dimensional_ids(self):
+        ranks = {inspect.getclosurevars(op).nonlocals["ids"].ndim for op, _ in _draws("embedding")}
+        assert ranks == {1, 2}
+
+    def test_layer_norm_rows_keep_off_zero_variance(self):
+        # central differences on a near-constant row err by far more than the tolerance
+        assert all(x.var(axis=-1).min() >= 1e-2 for _, (x, _, _) in _draws("layer_norm", 1000))

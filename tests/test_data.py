@@ -1,6 +1,7 @@
 """Dataset loading, few-shot protocol and the synthetic domain-shift generator."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -51,6 +52,13 @@ class TestLoadDataset:
         path = tmp_path / "broken.tsv"
         path.write_text("ok\ttext\nno_tab_here\n", encoding="utf-8")
         with pytest.raises(ValueError, match=":2:"):
+            load_dataset(path)
+
+    @pytest.mark.parametrize("text", ["", "   "], ids=["empty", "whitespace"])
+    def test_empty_text_rejected_naming_file_and_line(self, tmp_path, text):
+        path = tmp_path / "blank.tsv"
+        path.write_text(f"ok\ttext\nok\t{text}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:2: empty text")):
             load_dataset(path)
 
     def test_empty_dataset_rejected(self, tmp_path):

@@ -379,6 +379,7 @@ class TestConfigParsing:
         ("split_seed", -1),
         ("seeds", [-1]),
         ("seeds", [0, -2]),
+        ("seeds", [0, 0]),
     ])
     def test_bad_value_rejected_naming_the_key(self, key, value):
         with pytest.raises(ValueError, match=f"config key {key}"):
