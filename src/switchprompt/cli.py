@@ -89,9 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epochs", type=int)
         p.add_argument("--lr", type=float)
         p.add_argument("--backbone-init", choices=("random", "mlm"))
-        freeze = p.add_mutually_exclusive_group()
-        freeze.add_argument("--freeze", dest="freeze_backbone", action="store_true", default=None)
-        freeze.add_argument("--no-freeze", dest="freeze_backbone", action="store_false")
         p.add_argument("--out", dest="out_dir", help="output directory (overrides config)")
         p.set_defaults(handler=cmd_train if name == "train" else cmd_ablate)
 

@@ -173,19 +173,15 @@ class TransformerEncoder:
     # -- public entry points -------------------------------------------------
 
     def encode_plain(
-        self,
-        token_ids: Sequence[int] | np.ndarray,
-        train: bool = False,
-        rng: DropoutRng | None = None,
-        lengths: Sequence[int] | None = None,
+        self, token_ids: Sequence[int] | np.ndarray, lengths: Sequence[int] | None = None
     ) -> tuple[Tensor, Tensor]:
-        """Forward pass without prompts; returns (B, e) CLS vectors and (B, T, e) states.
+        """Eval-mode pass without prompts; returns (B, e) CLS vectors and (B, T, e) states.
 
         Ids are a (B, T) array with per-example `lengths` (default: all T); a
         1-D id list is read as one row.
         """
         ids, lengths = self._check_ids(token_ids, lengths, 0)
-        states = self._forward(ids, lengths, None, train, rng)
+        states = self._forward(ids, lengths, None, False, None)
         return self._cls(states), states
 
     def encode_prompted(

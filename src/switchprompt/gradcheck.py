@@ -79,15 +79,33 @@ def _matrix(rng: np.random.Generator, min_cols: int = 1) -> np.ndarray:
     return rng.standard_normal((rng.integers(1, 5), rng.integers(min_cols, 6)))
 
 
+def _lead(rng: np.random.Generator) -> tuple:
+    """0-2 leading axes of size 1-2, for the batched forms the encoder runs."""
+    return tuple(rng.integers(1, 3, size=rng.integers(0, 3)))
+
+
+def _stacked(rng: np.random.Generator, min_cols: int = 1) -> np.ndarray:
+    return rng.standard_normal((*_lead(rng), *_matrix(rng, min_cols).shape))
+
+
 def _trial_add(rng):
-    a = _matrix(rng)
-    b = rng.standard_normal(a.shape if rng.random() < 0.5 else a.shape[1])
+    # same shape (residuals), a bias over the last axis, or the trailing
+    # (rows, cols) block (position embeddings)
+    a = _stacked(rng)
+    b = rng.standard_normal(a.shape[-int(rng.integers(1, a.ndim + 1)):])
     return lambda t: ag.add(t[0], t[1]), [a, b]
 
 
 def _trial_mul(rng):
-    a = _matrix(rng)
-    b = rng.standard_normal(a.shape if rng.random() < 0.5 else ())
+    # same shape, a scalar, or a (B, 1, 1) gate on a (B, l, e) or shared (l, e) block
+    form = rng.integers(0, 3)
+    if form < 2:
+        a = _stacked(rng)
+        b = rng.standard_normal(a.shape if form == 0 else ())
+    else:
+        b = rng.standard_normal((rng.integers(1, 3), 1, 1))
+        block = _matrix(rng).shape
+        a = rng.standard_normal((len(b), *block) if rng.random() < 0.5 else block)
     return lambda t: ag.mul(t[0], t[1]), [a, b]
 
 
@@ -99,7 +117,7 @@ def _trial_scale(rng):
 def _trial_matmul(rng):
     # 2-D by 2-D (head, warm-up), stacked by a 2-D weight (projections), or
     # stacked by stacked with size-1 axes of `b` broadcasting (attention)
-    lead = tuple(rng.integers(1, 3, size=rng.integers(0, 3)))
+    lead = _lead(rng)
     p, q, r = rng.integers(1, 5, size=3)
     a = rng.standard_normal((*lead, p, q))
     if not lead or rng.random() < 0.5:
@@ -121,9 +139,15 @@ def _trial_reshape(rng):
 
 
 def _trial_concat(rng):
-    cols = rng.integers(1, 5)
-    parts = [rng.standard_normal((rng.integers(1, 4), cols)) for _ in range(rng.integers(2, 4))]
-    return lambda t: ag.concat(t, axis=0), parts
+    # 2-D parts (prompt blocks) or 3-D ones (prompts onto keys and values on
+    # axis 1), joined on a drawn axis
+    shape = rng.integers(1, 4, size=rng.integers(2, 4))
+    axis = int(rng.integers(0, len(shape)))
+    parts = []
+    for _ in range(rng.integers(2, 4)):
+        shape[axis] = rng.integers(1, 4)
+        parts.append(rng.standard_normal(shape))
+    return lambda t: ag.concat(t, axis=axis), parts
 
 
 def _trial_slice(rng):
@@ -165,10 +189,10 @@ def _trial_softmax_rows(rng):
 def _trial_layer_norm(rng):
     # on a near-constant row the central-difference error grows as STEP**2 / var,
     # so keep every row's variance off zero, as the relu trial keeps off the kink
-    x = _matrix(rng, min_cols=2)
+    x = _stacked(rng, min_cols=2)
     while x.var(axis=-1).min() < 1e-2:
-        x = _matrix(rng, min_cols=2)
-    gain, bias = rng.standard_normal(x.shape[1]), rng.standard_normal(x.shape[1])
+        x = _stacked(rng, min_cols=2)
+    gain, bias = rng.standard_normal(x.shape[-1]), rng.standard_normal(x.shape[-1])
     return lambda t: ag.layer_norm(t[0], t[1], t[2]), [x, gain, bias]
 
 

@@ -115,15 +115,21 @@ def write_keywords(path: str | Path, keywords: KeywordSet) -> None:
 
 
 def read_keywords(path: str | Path, alpha: float = -1.0) -> KeywordSet:
+    """Read a keyword file; words that tokenize alike (`Alpha`, `alpha`) may not repeat."""
     words, scores = [], []
+    first_line: dict[tuple[str, ...], int] = {}
     for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 3:
             raise ValueError(f"{path}:{lineno}: expected word<TAB>score<TAB>rank, got {line!r}")
-        if not tokenize(parts[0]):
+        tokens = tuple(tokenize(parts[0]))
+        if not tokens:
             raise ValueError(f"{path}:{lineno}: empty keyword in {line!r}")
+        if tokens in first_line:
+            raise ValueError(f"{path}:{lineno}: keyword {parts[0]!r} repeats line {first_line[tokens]}")
+        first_line[tokens] = lineno
         try:
             scores.append(float(parts[1]))
         except ValueError:

@@ -32,11 +32,11 @@ soft block with that mix, or with the single order, when both parts are used.
 
 Composition has three entry points. ``gate`` turns a (B, e) batch of
 representations into (B, 1, 1) gate values, ``compose_with_gates`` builds one
-layer's prompt from given gates (the prompted gate input passes scalar 0.5
-gates), and ``per_layer_prompts`` computes both gates once and composes every
-layer. The last two stay separate because the benchmark's tracer patches both
-names on ``runner``; they merge into one batched composer once the program
-has its own trace hook.
+layer's prompt from given gates, and ``per_layer_prompts`` computes both gates
+once and composes every layer with it. The runner calls only
+``per_layer_prompts``, but the benchmark's tracer patches both names on
+``runner``, so the last two stay separate; they merge into one batched
+composer once the program has its own trace hook.
 """
 
 from __future__ import annotations

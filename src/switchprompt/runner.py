@@ -45,13 +45,8 @@ from .encoder import (
 )
 from .keywords import KeywordSet, vectorize_keywords
 from .optim import Adam, clip_global_norm
-from .prompts import (
-    PromptState,
-    Variant,
-    compose_with_gates,
-    init_prompt_state,
-    per_layer_prompts,
-)
+# compose_with_gates is not called here; the benchmark's tracer patches it on runner by name
+from .prompts import PromptState, Variant, compose_with_gates, init_prompt_state, per_layer_prompts
 from .tokenizer import Tokenizer, tokenize
 
 
@@ -72,7 +67,6 @@ class RunConfig:
     num_keywords: int = 10
     alpha: float = -1.0
     train_keywords: bool = False
-    gate_input: str = "plain"  # where the gate CLS comes from: plain | prompted
     keyword_vector_mode: str = "embedding"  # embedding | cls
     # optimization
     batch_size: int = 32
@@ -86,7 +80,6 @@ class RunConfig:
     grad_clip: float = 1.0
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
     # backbone
-    freeze_backbone: bool = True
     backbone_init: str = "random"  # random | mlm
     backbone_seed: int = 1234
     backbone_init_std: float = 0.3
@@ -131,7 +124,6 @@ class RunConfig:
             ("alpha", self.alpha < 0, "< 0"),
             ("shots", self.shots >= 1, ">= 1"),
             ("epochs", self.epochs >= 0, ">= 0"),
-            ("gate_input", self.gate_input in ("plain", "prompted"), "plain or prompted"),
             ("backbone_init", self.backbone_init in ("random", "mlm"), "random or mlm"),
             ("keyword_vector_mode", self.keyword_vector_mode in ("embedding", "cls"),
              "embedding or cls"),
@@ -244,10 +236,8 @@ class PromptedClassifier:
     """A trained (or training) bundle: frozen backbone, prompts, head.
 
     The CLS representation that conditions the gates comes from an
-    unprompted eval-mode pass by default and is cached per text (legal
-    because the backbone is fixed). With ``gate_input="prompted"`` it comes
-    from a prompted pass whose gates are pinned at 0.5, recomputed per call.
-    Every encoder pass covers the whole batch of texts.
+    unprompted eval-mode pass and is cached per text (legal because the
+    backbone is fixed). Every encoder pass covers the whole batch of texts.
     """
 
     def __init__(
@@ -257,18 +247,14 @@ class PromptedClassifier:
         prompt_state: PromptState,
         tokenizer: Tokenizer,
         label_names: list[str],
-        gate_input: str = "plain",
         repr_cache: dict[str, np.ndarray] | None = None,
     ):
-        if gate_input not in ("plain", "prompted"):
-            raise ValueError(f"unknown gate_input {gate_input!r}")
         self.encoder = encoder
         self.head = head
         self.prompt_state = prompt_state
         self.tokenizer = tokenizer
         self.label_names = list(label_names)
         self.label_map = {name: i for i, name in enumerate(self.label_names)}
-        self.gate_input = gate_input
         # CLS row per text; only valid as long as the backbone stays fixed
         self._repr_cache: dict[str, np.ndarray] = repr_cache if repr_cache is not None else {}
 
@@ -283,23 +269,11 @@ class PromptedClassifier:
     def sentence_repr(self, texts: list[str], ids: np.ndarray, lengths: np.ndarray) -> Tensor | None:
         """(B, e) CLS vectors that drive the gates, from one batched pass.
 
-        `ids` and `lengths` are the padded batch of `texts`. With a frozen
-        backbone, only the texts missing from the cache are encoded.
+        `ids` and `lengths` are the padded batch of `texts`. Only the texts
+        missing from the cache are encoded.
         """
         if not self.prompt_state.variant.uses_gate1:
             return None
-        if self.gate_input == "prompted":
-            # CLS of a pass whose prompts are composed with neutral gates
-            half = Tensor(0.5)
-            prompts = [
-                compose_with_gates(self.prompt_state, half, half, layer)
-                for layer in range(self.encoder.config.num_layers)
-            ]
-            return self.encoder.encode_prompted(ids, prompts, lengths=lengths)
-        if not self.encoder.weights.frozen:
-            # backbone drifts during training: no caching, keep the graph
-            cls, _ = self.encoder.encode_plain(ids, lengths=lengths)
-            return cls
         missing = [i for i, text in enumerate(texts) if text not in self._repr_cache]
         if missing:
             with ag.no_grad():
@@ -330,11 +304,7 @@ class PromptedClassifier:
         return [self.label_map[label] for _, label in dataset.examples]
 
     def parameters(self) -> list[Tensor]:
-        return (
-            self.prompt_state.parameters()
-            + self.head.parameters()
-            + self.encoder.weights.parameters()
-        )
+        return self.prompt_state.parameters() + self.head.parameters()
 
 
 def evaluate(model: PromptedClassifier, dataset: LabeledDataset) -> float:
@@ -379,7 +349,7 @@ def _build_backbone(config: RunConfig, split: FewShotSplit, keyword_set: Keyword
         texts = texts + [" ".join(keyword_set.words)]
     tokenizer = Tokenizer.build(texts, max_vocab=config.vocab_cap)
     enc_cfg = config.encoder_config(tokenizer.vocab_size)
-    weights = EncoderWeights.init(enc_cfg, seed=config.backbone_seed, frozen=config.freeze_backbone)
+    weights = EncoderWeights.init(enc_cfg, seed=config.backbone_seed)
     encoder = TransformerEncoder(enc_cfg, weights)
     if config.backbone_init == "mlm":
         sequences = [tokenizer.encode(t)[: config.max_seq_len] for t in texts]
@@ -397,6 +367,7 @@ def train(
 ) -> RunResult:
     """Run every seed of one configuration; returns the aggregated result."""
     _check_keywords(config, keyword_set)
+    _check_split(config, split)
     out_dir = _output_dir(config, out_dir)
     backbone = _build_backbone(config, split, keyword_set)
     return _train_seeds(config, split, keyword_set, backbone, out_dir)
@@ -425,6 +396,15 @@ def _check_keywords(config: RunConfig, keyword_set: KeywordSet | None) -> None:
             )
 
 
+def _check_split(config: RunConfig, split: FewShotSplit) -> None:
+    if not split.test.examples:
+        source = f" of {config.dataset}" if config.dataset else ""
+        raise ValueError(
+            f"config key shots: {config.shots} train and {config.shots} dev examples per class "
+            f"leave no test examples{source}"
+        )
+
+
 def _train_seeds(config, split, keyword_set, backbone, out_dir) -> RunResult:
     """The seed loop of `train` on a built backbone, which it leaves unchanged."""
     tokenizer, built = backbone
@@ -435,23 +415,15 @@ def _train_seeds(config, split, keyword_set, backbone, out_dir) -> RunResult:
     label_names = list(split.train.label_map)
     records: list[dict] = []
     seed_results: list[dict] = []
-    repr_cache: dict[str, np.ndarray] = {}
-    encoder = built
+    repr_cache: dict[str, np.ndarray] = {}  # the frozen backbone's gate CLS, shared by every seed
     for seed in config.seeds:
-        if not config.freeze_backbone:
-            # training mutates an unfrozen backbone: each seed starts from a copy
-            tensors = {name: Tensor(t.data.copy()) for name, t in built.weights.tensors.items()}
-            encoder = TransformerEncoder(built.config, EncoderWeights(built.config, tensors, frozen=False))
         rng = np.random.default_rng((seed, 11))  # the prompts, then the head
         state = init_prompt_state(
             config.variant, config.num_layers, config.embed_dim, config.soft_prompt_len,
             kw_vectors, rng, config.train_keywords,
         )
         head = ClassificationHead.init(config.embed_dim, len(label_names), config.head_dropout, rng)
-        model = PromptedClassifier(
-            encoder, head, state, tokenizer, label_names, config.gate_input,
-            repr_cache if config.gate_input == "plain" else None,
-        )
+        model = PromptedClassifier(built, head, state, tokenizer, label_names, repr_cache)
         seed_results.append(_train_one_seed(config, split, model, seed, records))
         if out_dir is not None and config.save_checkpoints:
             _save_model(Path(out_dir) / f"model_seed{seed}.bin", config, model, seed, seed_results[-1])
@@ -467,7 +439,7 @@ def _train_seeds(config, split, keyword_set, backbone, out_dir) -> RunResult:
         test_std=float(np.std(test_accs)),
         dev_mean=float(np.mean(dev_accs)),
         best_epochs=[r["best_epoch"] for r in seed_results],
-        trainable_params=trainable_parameter_count(encoder.weights, head, state),
+        trainable_params=trainable_parameter_count(built.weights, head, state),
         seconds_per_epoch=float(np.mean([r["seconds_per_epoch"] for r in seed_results])),
         config=config.to_dict(),
     )
@@ -482,7 +454,7 @@ def _train_one_seed(config, split, model, seed, records) -> dict:
     texts = train_set.texts()
     shuffle_rng = np.random.default_rng((seed, 22))
     drop = DropoutRng(seed)
-    # prompt, head, then backbone tensors: the order clipping sums the norm in
+    # prompt, then head tensors: the order clipping sums the norm in
     params = model.parameters()
     opt = Adam(params, lr=config.lr, betas=(config.adam_beta1, config.adam_beta2),
                eps=config.adam_eps)
@@ -588,7 +560,7 @@ def load_model(path: str | Path) -> PromptedClassifier:
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     encoder = TransformerEncoder(enc_cfg, weights)
-    return PromptedClassifier(encoder, head, state, tokenizer, meta["labels"], config.gate_input)
+    return PromptedClassifier(encoder, head, state, tokenizer, meta["labels"])
 
 
 def write_run_outputs(out_dir: Path, records: list[dict], result: RunResult) -> None:
@@ -638,6 +610,7 @@ def ablate(
     configs = [replace(config, variant=variant.value) for variant in variants]
     for variant_config in configs:
         _check_keywords(variant_config, keyword_set)
+    _check_split(config, split)
     out_dir = _output_dir(config, out_dir)
     backbone = _build_backbone(config, split, keyword_set)  # no variant shapes the backbone
     results = []

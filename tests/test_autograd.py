@@ -448,6 +448,31 @@ class TestGradcheckTrials:
         ranks = {inspect.getclosurevars(op).nonlocals["ids"].ndim for op, _ in _draws("embedding")}
         assert ranks == {1, 2}
 
+    def test_concat_draws_two_and_three_dimensional_parts_on_every_axis(self):
+        forms = {(parts[0].ndim, inspect.getclosurevars(op).nonlocals["axis"])
+                 for op, parts in _draws("concat")}
+        assert forms == {(2, 0), (2, 1), (3, 0), (3, 1), (3, 2)}  # (3, 1): prompts onto keys
+
+    @pytest.mark.parametrize("name", ["add", "mul", "layer_norm"])
+    def test_elementwise_ops_draw_zero_to_two_leading_axes(self, name):
+        assert {arrays[0].ndim for _, arrays in _draws(name)} == {2, 3, 4}
+
+    def test_add_draws_full_trailing_block_and_bias_operands(self):
+        forms = {("full" if b.shape == a.shape else f"last {b.ndim}")
+                 for _, (a, b) in _draws("add") if a.ndim == 3}
+        assert forms == {"full", "last 2", "last 1"}
+
+    def test_mul_draws_scalar_and_gate_forms(self):
+        forms = set()
+        for _, (a, b) in _draws("mul"):
+            if b.shape == a.shape:
+                forms.add("same")
+            elif b.ndim == 0:
+                forms.add("scalar")
+            elif b.shape == (len(b), 1, 1):
+                forms.add("gate on stacked block" if a.ndim == 3 else "gate on shared block")
+        assert forms == {"same", "scalar", "gate on stacked block", "gate on shared block"}
+
     def test_layer_norm_rows_keep_off_zero_variance(self):
         # central differences on a near-constant row err by far more than the tolerance
         assert all(x.var(axis=-1).min() >= 1e-2 for _, (x, _, _) in _draws("layer_norm", 1000))

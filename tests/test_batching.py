@@ -1,7 +1,7 @@
 """Batched classification equals the one-example-at-a-time path.
 
-The reference below is the per-example path: one B = 1 gate pass and one
-B = 1 prompted encoder pass per text, drawing dropout in text order from the
+The reference below is the per-example path: one B = 1 no-grad plain pass
+for the gates and one B = 1 prompted encoder pass per text, drawing dropout in text order from the
 shared stream, then one head call on the stacked CLS vectors. A batched
 ``PromptedClassifier.logits`` must match it on random ragged batches, in
 values and in gradients, and the length-bucketed ``evaluate`` must match
@@ -17,13 +17,12 @@ from switchprompt import runner
 from switchprompt.autograd import DropoutRng, Tensor
 from switchprompt.data import LabeledDataset
 from switchprompt.encoder import ClassificationHead, EncoderConfig, EncoderWeights, TransformerEncoder
-from switchprompt.prompts import compose_with_gates, init_prompt_state, per_layer_prompts
+from switchprompt.prompts import init_prompt_state, per_layer_prompts
 from switchprompt.runner import PromptedClassifier
 from switchprompt.tokenizer import Tokenizer
 
 WORDS = [f"w{i}" for i in range(10)]
 LABELS = ["a", "b", "c"]
-GATE_SOURCES = ("plain-frozen", "plain-unfrozen", "prompted")
 EMBED = 8
 
 texts_strategy = st.lists(
@@ -33,13 +32,13 @@ texts_strategy = st.lists(
 )
 
 
-def make_model(gate_source: str, encoder_dropout: float = 0.1, head_dropout: float = 0.1):
+def make_model(encoder_dropout: float = 0.1, head_dropout: float = 0.1):
     tokenizer = Tokenizer(WORDS)
     cfg = EncoderConfig(
         vocab_size=tokenizer.vocab_size, embed_dim=EMBED, num_layers=2, num_heads=2, ffn_dim=16,
         max_seq_len=24, dropout_rate=encoder_dropout,
     )
-    encoder = TransformerEncoder(cfg, EncoderWeights.init(cfg, seed=3, frozen=gate_source != "plain-unfrozen"))
+    encoder = TransformerEncoder(cfg, EncoderWeights.init(cfg, seed=3))
     rng = np.random.default_rng(4)
     state = init_prompt_state("switchprompt", 2, EMBED, soft_len=2,
                               keyword_vectors=rng.standard_normal((3, EMBED)), rng=rng)
@@ -48,8 +47,7 @@ def make_model(gate_source: str, encoder_dropout: float = 0.1, head_dropout: flo
     state.gate2_weights.data = rng.standard_normal(EMBED)
     head = ClassificationHead.init(EMBED, len(LABELS), head_dropout, rng)
     head.projection.data = rng.standard_normal(head.projection.shape)
-    gate_input = "prompted" if gate_source == "prompted" else "plain"
-    return PromptedClassifier(encoder, head, state, tokenizer, LABELS, gate_input)
+    return PromptedClassifier(encoder, head, state, tokenizer, LABELS)
 
 
 def per_example_logits(model, texts, train=False, rng=None):
@@ -57,15 +55,8 @@ def per_example_logits(model, texts, train=False, rng=None):
     rows = []
     for text in texts:
         ids = model._ids(text)
-        if model.gate_input == "prompted":
-            half = Tensor(0.5)
-            neutral = [compose_with_gates(state, half, half, layer) for layer in range(layers)]
-            s = model.encoder.encode_prompted(ids, neutral)
-        elif model.encoder.weights.frozen:
-            with ag.no_grad():
-                s = Tensor(model.encoder.encode_plain(ids)[0].data)
-        else:
-            s = model.encoder.encode_plain(ids)[0]
+        with ag.no_grad():
+            s = Tensor(model.encoder.encode_plain(ids)[0].data)
         prompts = per_layer_prompts(state, s, layers)
         cls = model.encoder.encode_prompted(ids, prompts, train=train, rng=rng)
         rows.append(ag.reshape(cls, (1, EMBED)))
@@ -80,9 +71,9 @@ def gradients(model, build):
 
 
 @settings(max_examples=25, deadline=None)
-@given(texts=texts_strategy, source=st.sampled_from(GATE_SOURCES))
-def test_batched_logits_equal_per_example_logits_without_grad(texts, source):
-    model = make_model(source)
+@given(texts=texts_strategy)
+def test_batched_logits_equal_per_example_logits_without_grad(texts):
+    model = make_model()
     with ag.no_grad():
         batched = model.logits(texts).data
         model._repr_cache.clear()
@@ -93,10 +84,10 @@ def test_batched_logits_equal_per_example_logits_without_grad(texts, source):
 
 
 @settings(max_examples=25, deadline=None)
-@given(texts=texts_strategy, source=st.sampled_from(GATE_SOURCES), step=st.integers(0, 1000))
-def test_batched_train_logits_and_gradients_equal_per_example_path(texts, source, step):
+@given(texts=texts_strategy, step=st.integers(0, 1000))
+def test_batched_train_logits_and_gradients_equal_per_example_path(texts, step):
     # encoder dropout 0.1 and head dropout 0.1: every mask must line up
-    model = make_model(source)
+    model = make_model()
     labels = [i % len(LABELS) for i in range(len(texts))]
 
     def run(path):
@@ -118,7 +109,7 @@ def test_batched_train_logits_and_gradients_equal_per_example_path(texts, source
 def test_batch_equals_stacked_single_calls_in_train_mode(texts, step):
     # without head dropout, B one-text calls on one stream draw exactly the
     # encoder masks of one B-text call
-    model = make_model("plain-frozen", encoder_dropout=0.1, head_dropout=0.0)
+    model = make_model(encoder_dropout=0.1, head_dropout=0.0)
     batched_rng, single_rng = DropoutRng(9), DropoutRng(9)
     batched_rng.begin_step(step)
     single_rng.begin_step(step)
@@ -133,7 +124,7 @@ def test_batch_equals_stacked_single_calls_in_train_mode(texts, step):
                       min_size=1, max_size=12),
        budget=st.integers(1, 64))
 def test_bucketed_evaluate_equals_one_text_at_a_time(texts, budget):
-    model = make_model("plain-frozen")
+    model = make_model()
     dataset = LabeledDataset([(t, LABELS[i % 3]) for i, t in enumerate(texts)],
                              {label: i for i, label in enumerate(LABELS)})
     labels = [i % 3 for i in range(len(texts))]

@@ -183,6 +183,13 @@ class TestTrainCli:
         result = json.loads((out / "result.json").read_text())
         assert result["variant"] == "keywords-only"  # flag beat the config file
 
+    @pytest.mark.parametrize("flag", ["--freeze", "--no-freeze"])
+    def test_backbone_freeze_flags_are_gone(self, workspace, capsys, flag):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["train"] + run_flags(workspace) + [flag])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
     def test_missing_dataset_is_reported(self, capsys):
         assert main(["train", "--epochs", "1"]) == 1
         assert "no dataset" in capsys.readouterr().err
@@ -219,11 +226,11 @@ class TestGradcheckCli:
         lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("PASS")]
         assert len(lines) == len(OP_TRIALS)
 
-    @pytest.mark.parametrize("seed", ["10", "23"])
+    @pytest.mark.parametrize("seed", ["10", "23", "38"])
     def test_near_constant_layer_norm_row_is_no_false_failure(self, seed):
         # without the trial's variance floor, a near-constant layer_norm row drawn
-        # at these seeds (23 with the earlier 21-trial suite, 10 with this one)
-        # gives a central-difference error above the tolerance
+        # at these seeds (23 with the earlier 21-trial suite, 10 with 2-D-only
+        # trials, 38 with this one) gives a central-difference error above the tolerance
         assert main(["gradcheck", "--seed", seed]) == 0
 
     @pytest.mark.parametrize("flag, value, message", [
@@ -377,6 +384,19 @@ class TestCorruptCheckpoint:
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*{re.escape(tensor)}"):
             load_model(path)
 
+    def test_config_with_the_removed_backbone_knobs_is_one_line(self, workspace, checkpoint_bytes,
+                                                                tmp_path, capsys):
+        # checkpoints written while `freeze_backbone` and `gate_input` were config keys
+        path = tmp_path / "old-config.bin"
+        path.write_bytes(edit_header(lambda h: h["meta"]["config"].update(
+            freeze_backbone=True, gate_input="plain"))(checkpoint_bytes))
+        code = main(["evaluate", "--checkpoint", str(path),
+                     "--data", str(workspace / "data" / "dataset.tsv")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: unknown config keys: ['freeze_backbone', 'gate_input']"
+        ]
+
 
 def dataset_labels(workspace):
     lines = (workspace / "data" / "dataset.tsv").read_text(encoding="utf-8").splitlines()
@@ -411,6 +431,13 @@ class TestEvaluateInputs:
 
 
 class TestBadPaths:
+    @pytest.fixture
+    def no_backbone(self, monkeypatch):
+        def build(*args):
+            raise AssertionError("the backbone was built")
+
+        monkeypatch.setattr(runner, "_build_backbone", build)
+
     @pytest.mark.parametrize("command", ["evaluate", "train"])
     def test_directory_for_an_input_file_is_one_line(self, workspace, tmp_path, capsys, command):
         if command == "evaluate":
@@ -427,21 +454,55 @@ class TestBadPaths:
     @pytest.mark.parametrize("command", ["train", "ablate"])
     @pytest.mark.parametrize("nested", [False, True], ids=["file", "under-file"])
     def test_out_path_through_a_file_fails_before_the_backbone(self, workspace, tmp_path, capsys,
-                                                               monkeypatch, command, nested):
+                                                               no_backbone, command, nested):
         taken = tmp_path / "taken"
         taken.write_text("keep me\n", encoding="utf-8")
         out = taken / "run" if nested else taken
-
-        def no_backbone(*args):
-            raise AssertionError("the backbone was built")
-
-        monkeypatch.setattr(runner, "_build_backbone", no_backbone)
         flags = run_flags(workspace)
         flags[flags.index("--m") + 1] = "6"  # mix-no-concat needs m == n
         assert main([command] + flags + ["--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and str(out) in err[0], err
         assert taken.read_text(encoding="utf-8") == "keep me\n"
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    def test_shots_leaving_no_test_examples_fail_before_the_backbone(self, workspace, tmp_path,
+                                                                     capsys, no_backbone, command):
+        data_dir = tmp_path / "small"
+        assert main(["gen-synthetic", "--out", str(data_dir), "--classes", "3",
+                     "--examples-per-class", "8"]) == 0
+        flags = run_flags(workspace)
+        flags[flags.index("--data") + 1] = str(data_dir / "dataset.tsv")
+        flags[flags.index("--m") + 1] = "6"  # mix-no-concat needs m == n
+        out = tmp_path / "run"
+        with pytest.warns(UserWarning, match="no examples left for the test set"):
+            code = main([command] + flags + ["--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "error: config key shots: 4 train and 4 dev examples per class leave no test "
+            f"examples of {data_dir / 'dataset.tsv'}"
+        )
+        assert not out.exists()
+
+
+class TestBadKeywordFile:
+    @pytest.mark.parametrize("line, problem", [
+        ("beta 0.5 2", "expected word<TAB>score<TAB>rank"),
+        ("beta\tnotanumber\t2", "score 'notanumber' is not a number"),
+        ("\t0.5\t2", "empty keyword"),
+        ("Alpha\t0.5\t2", "keyword 'Alpha' repeats line 1"),
+    ], ids=["fields", "score", "empty", "repeat"])
+    def test_one_line_error_naming_file_and_line(self, workspace, tmp_path, capsys, line,
+                                                 problem):
+        bad = tmp_path / "keywords.tsv"
+        bad.write_text(f"alpha\t0.75\t1\n{line}\n", encoding="utf-8")
+        flags = run_flags(workspace)
+        flags[flags.index("--keywords") + 1] = str(bad)
+        out = tmp_path / "run"
+        assert main(["train"] + flags + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}:2: {problem}"), err
+        assert not out.exists()
 
 
 class TestNonUtf8Inputs:

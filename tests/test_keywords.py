@@ -312,3 +312,12 @@ class TestKeywordFileIO:
         path.write_text(f"alpha\t0.75\t1\n{line}\n")
         with pytest.raises(ValueError, match=f"bad.tsv:2: {problem}"):
             read_keywords(path)
+
+    @pytest.mark.parametrize("word", ["alpha", "Alpha", " ALPHA "])
+    def test_repeated_keyword_names_both_lines(self, tmp_path, word):
+        # words are compared as the tokenizer sees them, since that is what
+        # gives each keyword its prompt row
+        path = tmp_path / "repeat.tsv"
+        path.write_text(f"alpha\t0.75\t1\nbeta\t0.5\t2\n{word}\t0.25\t3\n")
+        with pytest.raises(ValueError, match=f"repeat.tsv:3: keyword {word!r} repeats line 1$"):
+            read_keywords(path)

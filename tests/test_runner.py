@@ -135,15 +135,6 @@ class TestTrain:
         classes = tiny_split.train.num_classes
         assert result.trainable_params == L * m * e + 2 * e + e * classes + classes
 
-    def test_frozen_vs_unfrozen_parameter_gap_is_backbone_size(self, tiny_config, tiny_split,
-                                                               tiny_keywords):
-        frozen = train(tiny_config, tiny_split, tiny_keywords)
-        unfrozen = train(replace(tiny_config, freeze_backbone=False), tiny_split, tiny_keywords)
-        tokenizer, encoder = _build_backbone(tiny_config, tiny_split, tiny_keywords)
-        assert unfrozen.trainable_params - frozen.trainable_params == sum(
-            t.size for t in encoder.weights.tensors.values()
-        )
-
     def test_best_dev_tie_goes_to_earlier_epoch(self, tiny_config, tiny_split, tiny_keywords,
                                                 tmp_path):
         out = tmp_path / "ties"
@@ -236,24 +227,53 @@ class TestBackboneBuilds:
         assert len(ablate(cfg, tiny_split, tiny_keywords)) == 6
         assert len(warmups) == 1
 
-    def test_unfrozen_two_seed_train_warms_up_once(self, tiny_config, tiny_split, tiny_keywords,
-                                                   warmups):
-        cfg = replace(tiny_config, epochs=1, seeds=[0, 1], freeze_backbone=False,
-                      backbone_init="mlm", mlm_steps=5)
+
+class TestFrozenBackbone:
+    """Prompts and head train; the backbone built for the command never moves."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        backbones = []
+        build = runner._build_backbone
+        monkeypatch.setattr(runner, "_build_backbone",
+                            lambda *a: backbones.append(build(*a)) or backbones[-1])
+        return backbones
+
+    def test_two_seed_train_leaves_the_built_backbone_unchanged(self, tiny_config, tiny_split,
+                                                                tiny_keywords, built):
+        cfg = replace(tiny_config, seeds=[0, 1], backbone_init="mlm", mlm_steps=5)
+        _, fresh = _build_backbone(cfg, tiny_split, tiny_keywords)
         train(cfg, tiny_split, tiny_keywords)
-        assert len(warmups) == 1
+        [(_, encoder)] = built
+        assert encoder.weights.frozen
+        assert encoder.weights.checksum() == fresh.weights.checksum()
+
+    def test_each_seed_adam_holds_only_prompt_and_head_tensors(self, tiny_config, tiny_split,
+                                                               tiny_keywords, built, monkeypatch):
+        optimizers, models = [], []
+        make_adam, train_one_seed = runner.Adam, runner._train_one_seed
+
+        def adam(*args, **kwargs):
+            optimizers.append(make_adam(*args, **kwargs))
+            return optimizers[-1]
+
+        def one_seed(config, split, model, *rest):
+            models.append(model)
+            return train_one_seed(config, split, model, *rest)
+
+        monkeypatch.setattr(runner, "Adam", adam)
+        monkeypatch.setattr(runner, "_train_one_seed", one_seed)
+        train(replace(tiny_config, seeds=[0, 1]), tiny_split, tiny_keywords)
+        [(_, encoder)] = built
+        assert len(optimizers) == len(models) == 2
+        for opt, model in zip(optimizers, models):
+            expected = model.prompt_state.parameters() + model.head.parameters()
+            assert [id(p) for p in opt.params] == [id(p) for p in expected]
+            assert model.encoder is encoder
+            assert not {id(p) for p in opt.params} & {id(t) for t in encoder.weights.tensors.values()}
 
 
 class TestConfigKnobs:
-    def test_prompted_gate_input_trains_and_differs_from_plain(self, tiny_config, tiny_split,
-                                                               tiny_keywords, tmp_path):
-        train(tiny_config, tiny_split, tiny_keywords, tmp_path / "plain")
-        train(replace(tiny_config, gate_input="prompted"), tiny_split, tiny_keywords,
-              tmp_path / "prompted")
-        assert (tmp_path / "plain" / "metrics.jsonl").read_bytes() != (
-            tmp_path / "prompted" / "metrics.jsonl"
-        ).read_bytes()
-
     def test_trainable_keywords_increase_parameter_count(self, tiny_config, tiny_split,
                                                          tiny_keywords):
         fixed = train(replace(tiny_config, epochs=0), tiny_split, tiny_keywords)
@@ -261,29 +281,6 @@ class TestConfigKnobs:
                         tiny_split, tiny_keywords)
         e = tiny_config.embed_dim
         assert trained.trainable_params - fixed.trainable_params == tiny_keywords.n * e
-
-    def test_unfrozen_seeds_are_independent(self, tiny_config, tiny_split, tiny_keywords,
-                                            tmp_path):
-        # every seed must start from the same fresh backbone, so seed 1's
-        # records are identical whether or not seed 0 ran first
-        cfg = replace(tiny_config, freeze_backbone=False, epochs=1)
-        train(replace(cfg, seeds=[0, 1]), tiny_split, tiny_keywords, tmp_path / "both")
-        train(replace(cfg, seeds=[1]), tiny_split, tiny_keywords, tmp_path / "solo")
-        both = [json.loads(l) for l in (tmp_path / "both" / "metrics.jsonl").read_text().splitlines()]
-        solo = [json.loads(l) for l in (tmp_path / "solo" / "metrics.jsonl").read_text().splitlines()]
-        assert [r for r in both if r["seed"] == 1] == solo
-
-    def test_unfrozen_training_actually_moves_the_backbone(self, tiny_config, tiny_split,
-                                                           tiny_keywords, tmp_path):
-        cfg = replace(tiny_config, freeze_backbone=False, epochs=1, save_checkpoints=True)
-        train(cfg, tiny_split, tiny_keywords, tmp_path)
-        model = load_model(tmp_path / "model_seed0.bin")
-        _, fresh = _build_backbone(cfg, tiny_split, tiny_keywords)
-        moved = any(
-            not np.array_equal(model.encoder.weights[name].data, tensor.data)
-            for name, tensor in fresh.weights.tensors.items()
-        )
-        assert moved
 
     def test_cls_keyword_vectorization_changes_the_run(self, tiny_config, tiny_split,
                                                        tiny_keywords, tmp_path):
@@ -304,13 +301,13 @@ class TestConfigParsing:
         epochs = 7
         lr = 0.01       # prompt learning rate
         seeds = [0, 1]
-        freeze_backbone = true
+        save_checkpoints = true
         dataset = data/train.tsv
         """
         values = parse_config_text(text)
         assert values == {
             "variant": "concat-vk", "epochs": 7, "lr": 0.01, "seeds": [0, 1],
-            "freeze_backbone": True, "dataset": "data/train.tsv",
+            "save_checkpoints": True, "dataset": "data/train.tsv",
         }
 
     def test_unknown_key_rejected(self):
@@ -331,7 +328,7 @@ class TestConfigParsing:
             RunConfig(seeds=[])
 
     @pytest.mark.parametrize("key, value", [
-        ("gate_input", "cls"),
+        ("dataset", 5),  # first, so the positional ids of the list values below stay put
         ("backbone_init", "bert"),
         ("keyword_vector_mode", "tfidf"),
         ("batch_size", 0),
@@ -345,7 +342,7 @@ class TestConfigParsing:
         ("lr", None),
         ("batch_size", "32"),
         ("epochs", 2.5),
-        ("freeze_backbone", 1),
+        ("save_checkpoints", 1),
         ("seeds", 0),
         ("seeds", [0, "a"]),
         ("embed_dim", 0),
@@ -423,9 +420,9 @@ class TestConfigParsing:
         variant="concat-kv", embed_dim=16, num_layers=3, num_heads=4, ffn_dim=48,
         max_seq_len=96, encoder_dropout=0.2, activation="relu", vocab_cap=500,
         soft_prompt_len=4, num_keywords=5, alpha=-0.5, train_keywords=True,
-        gate_input="prompted", keyword_vector_mode="cls", batch_size=8, head_dropout=0.0,
+        keyword_vector_mode="cls", batch_size=8, head_dropout=0.0,
         epochs=12, lr=0.02, lr_gamma=0.9, adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-6,
-        grad_clip=0.5, seeds=[3, 1], freeze_backbone=False, backbone_init="mlm",
+        grad_clip=0.5, seeds=[3, 1], backbone_init="mlm",
         backbone_seed=7, backbone_init_std=0.25, mlm_steps=50, mlm_lr=2e-3, shots=8,
         split_seed=4, general_corpus="corpora/general.txt", domain_corpus="corpora/domain.txt",
         dataset="data/tasks.tsv", keywords_file="kw.tsv", out_dir="runs/#2",
@@ -456,22 +453,18 @@ class TestBenchmarkHooks:
         for name in self.PATCHED:
             assert callable(runner.__dict__[name]), name
 
-    @pytest.mark.parametrize("gate_input, composer", [
-        ("plain", "per_layer_prompts"), ("prompted", "compose_with_gates"),
-    ])
     def test_classification_composes_through_the_runner_names(self, tiny_config, tiny_split,
-                                                              tiny_keywords, monkeypatch,
-                                                              gate_input, composer):
+                                                              tiny_keywords, monkeypatch):
         model = forced_class_zero_model(tiny_config, tiny_split, tiny_keywords, ["a", "b"])
         kw = np.random.default_rng(0).standard_normal((3, tiny_config.embed_dim))
         model.prompt_state = init_prompt_state(
             "switchprompt", tiny_config.num_layers, tiny_config.embed_dim, soft_len=2,
             keyword_vectors=kw, rng=np.random.default_rng(1),
         )
-        model.gate_input = gate_input
         calls = []
-        original = runner.__dict__[composer]
-        monkeypatch.setattr(runner, composer, lambda *a, **k: calls.append(1) or original(*a, **k))
+        original = runner.per_layer_prompts
+        monkeypatch.setattr(runner, "per_layer_prompts",
+                            lambda *a, **k: calls.append(1) or original(*a, **k))
         with ag.no_grad():
             model.logits(["gen000 gen001"])
         assert calls
