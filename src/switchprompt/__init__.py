@@ -15,7 +15,6 @@ from .encoder import (
     EncoderConfig,
     EncoderWeights,
     TransformerEncoder,
-    trainable_parameter_count,
 )
 from .keywords import (
     CorpusStats,

@@ -18,7 +18,7 @@ Header schema::
     }
 
 Offsets are relative to the start of the data section, in whole float64s.
-All tensors are float64, C-contiguous.
+All tensors are float64, C-contiguous, and hold finite values only.
 """
 
 from __future__ import annotations
@@ -114,6 +114,10 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
             raise ValueError(
                 f"{path}: tensor {name!r}: shape {shape!r} is not a list of sizes"
             ) from None
+    if not np.isfinite(values).all():  # one pass over the buffer; name the tensor only on failure
+        for name, array in tensors.items():
+            if not np.isfinite(array).all():
+                raise ValueError(f"{path}: tensor {name!r}: holds a non-finite value")
     return tensors, meta
 
 

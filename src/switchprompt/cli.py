@@ -181,7 +181,7 @@ def _prepare_run(args):
     # the keyword line is part of the backbone's texts, so every variant reads it
     keyword_set = None
     if config.keywords_file:
-        keyword_set = kw_mod.read_keywords(config.keywords_file, alpha=config.alpha)
+        keyword_set = kw_mod.read_keywords(config.keywords_file)
     elif config.general_corpus and config.domain_corpus:
         keyword_set = _mine_keywords(
             config.general_corpus, config.domain_corpus, config.alpha, config.num_keywords

@@ -14,7 +14,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .tokenizer import tokenize
 
 
 @dataclass
@@ -244,19 +243,3 @@ def write_corpus(path: str | Path, documents: list[str]) -> None:
 def read_corpus(path: str | Path) -> list[str]:
     return [line for line in read_text(path).splitlines() if line.strip()]
 
-
-def bag_of_keywords_accuracy(task: SyntheticTask, dataset: LabeledDataset) -> float:
-    """Independent ceiling check: classify by counting planted class tokens."""
-    token_to_label = {
-        tok: label for label, tokens in task.planted_keywords.items() for tok in tokens
-    }
-    labels_in_order = list(dataset.label_map)
-    correct = 0
-    for text, label in dataset.examples:
-        votes = {lab: 0 for lab in labels_in_order}
-        for word in tokenize(text):
-            if word in token_to_label:
-                votes[token_to_label[word]] += 1
-        predicted = max(labels_in_order, key=lambda lab: votes[lab])
-        correct += predicted == label
-    return correct / len(dataset.examples)

@@ -2,8 +2,9 @@
 
 The backbone stands in for a pre-trained language model: token and learned
 position embeddings, post-norm self-attention blocks, a final layer norm, and
-a frozen-weights contract (no weight tensor accumulates gradient while
-frozen). Prompts are injected prefix-style: at every layer, that layer's
+fixed weights: only the masked-token warm-up trains them, so the encoder
+caches the plain CLS vector of each id sequence it has seen.
+Prompts are injected prefix-style: at every layer, that layer's
 prompt matrix is prepended to the key and value sequences after the token
 projections, so each token attends over the prompt slots plus the tokens.
 Queries come from token positions only, and prompt rows receive no position
@@ -90,20 +91,18 @@ def weight_shapes(config: EncoderConfig) -> dict[str, tuple[int, ...]]:
 
 
 class EncoderWeights:
-    """Named weight tensors plus the frozen flag.
+    """Named weight tensors; none requires grad outside the masked-token warm-up.
 
     Names and shapes come from :func:`weight_shapes` (the checkpoint format
     uses them); ``from_arrays`` checks outside arrays against it.
     """
 
-    def __init__(self, config: EncoderConfig, tensors: dict[str, Tensor], frozen: bool = True):
+    def __init__(self, config: EncoderConfig, tensors: dict[str, Tensor]):
         self.config = config
         self.tensors = tensors
-        self._frozen = True
-        self.set_frozen(frozen)
 
     @classmethod
-    def init(cls, config: EncoderConfig, seed: int = 0, frozen: bool = True) -> "EncoderWeights":
+    def init(cls, config: EncoderConfig, seed: int = 0) -> "EncoderWeights":
         """Matrices drawn normal(0, init_std) in table order, gains one, biases zero."""
         rng = np.random.default_rng(seed)
         tensors: dict[str, Tensor] = {}
@@ -114,11 +113,11 @@ class EncoderWeights:
                 tensors[name] = Tensor(rng.normal(0.0, config.init_std, size=shape))
             else:
                 tensors[name] = Tensor(np.zeros(shape))
-        return cls(config, tensors, frozen=frozen)
+        return cls(config, tensors)
 
     @classmethod
     def from_arrays(cls, config: EncoderConfig, arrays: dict[str, np.ndarray]) -> "EncoderWeights":
-        """Frozen inverse of ``named_arrays``; names outside the table are ignored."""
+        """Inverse of ``named_arrays``; names outside the table are ignored."""
         shapes = weight_shapes(config)
         check_shapes(arrays, shapes)
         return cls(config, {name: Tensor(arrays[name]) for name in shapes})
@@ -126,22 +125,8 @@ class EncoderWeights:
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
-    @property
-    def frozen(self) -> bool:
-        return self._frozen
-
-    def set_frozen(self, frozen: bool) -> None:
-        self._frozen = bool(frozen)
-        for t in self.tensors.values():
-            t.requires_grad = not self._frozen
-            if self._frozen:
-                t.grad = None
-
-    def parameters(self) -> list[Tensor]:
-        return [t for t in self.tensors.values() if t.requires_grad]
-
     def checksum(self) -> str:
-        """sha256 over names and raw buffers, for the frozen contract."""
+        """sha256 over names and raw buffers, to show the weights did not move."""
         digest = hashlib.sha256()
         for name in sorted(self.tensors):
             digest.update(name.encode())
@@ -169,6 +154,7 @@ class TransformerEncoder:
             raise ValueError("weights were initialized for a different config")
         self.config = config
         self.weights = weights
+        self._cls_cache: dict[bytes, np.ndarray] = {}  # unpadded ids -> plain CLS row
 
     # -- public entry points -------------------------------------------------
 
@@ -183,6 +169,17 @@ class TransformerEncoder:
         ids, lengths = self._check_ids(token_ids, lengths, 0)
         states = self._forward(ids, lengths, None, False, None)
         return self._cls(states), states
+
+    def cached_cls(self, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+        """(B, e) plain CLS rows of a padded int64 batch, keyed by each row's unpadded ids;
+        one no-grad :meth:`encode_plain` covers the rows not cached yet."""
+        keys = [row[:n].tobytes() for row, n in zip(ids, lengths)]
+        missing = [b for b, key in enumerate(keys) if key not in self._cls_cache]
+        if missing:
+            with ag.no_grad():
+                cls, _ = self.encode_plain(ids[missing], lengths=lengths[missing])
+            self._cls_cache.update(zip([keys[b] for b in missing], cls.data))
+        return np.stack([self._cls_cache[key] for key in keys])
 
     def encode_prompted(
         self,
@@ -359,12 +356,6 @@ class ClassificationHead:
         return {"head.weight": self.projection.data, "head.bias": self.bias.data}
 
 
-def trainable_parameter_count(weights: EncoderWeights | None, head, prompt_state) -> int:
-    """Number of scalars with requires_grad set, enumerated over all parts."""
-    return sum(t.size for part in (weights, head, prompt_state) if part is not None
-               for t in part.parameters())
-
-
 def pretrain_masked_token(
     encoder: TransformerEncoder,
     sequences: Iterable[Sequence[int]],
@@ -375,27 +366,32 @@ def pretrain_masked_token(
     """Brief masked-token warm-up so CLS states carry input-dependent structure.
 
     One random non-CLS position per step is replaced with the mask id and
-    predicted back through the (tied) token embedding table. Weights are
-    unfrozen for the duration and re-frozen afterwards.
+    predicted back through the (tied) token embedding table. The weights
+    take gradient for the duration only, and the CLS cache is emptied after.
     """
     pool = [np.asarray(s, dtype=np.int64) for s in sequences if len(s) > 1]
     if not pool:
         raise ValueError("masked-token warm-up needs at least one sequence with a word")
-    was_frozen = encoder.weights.frozen
-    encoder.weights.set_frozen(False)
-    opt = Adam(encoder.weights.parameters(), lr=lr)
-    rng = np.random.default_rng((seed, 77))
-    token_emb = encoder.weights["token_emb"]
-    for _ in range(steps):
-        ids = pool[int(rng.integers(0, len(pool)))].copy()
-        pos = int(rng.integers(1, ids.size))
-        target = int(ids[pos])
-        ids[pos] = MASK_ID
-        _, states = encoder.encode_plain(ids)
-        hidden = ag.reshape(ag.slice_cols(states, pos, pos + 1), (1, states.shape[2]))
-        logits = ag.matmul(hidden, ag.permute(token_emb, (1, 0)))
-        loss = ag.softmax_cross_entropy(logits, [target])
-        opt.zero_grad()
-        ag.backward(loss)
-        opt.step()
-    encoder.weights.set_frozen(was_frozen)
+    params = list(encoder.weights.tensors.values())
+    for t in params:
+        t.requires_grad = True
+    try:
+        opt = Adam(params, lr=lr)
+        rng = np.random.default_rng((seed, 77))
+        token_emb = encoder.weights["token_emb"]
+        for _ in range(steps):
+            ids = pool[int(rng.integers(0, len(pool)))].copy()
+            pos = int(rng.integers(1, ids.size))
+            target = int(ids[pos])
+            ids[pos] = MASK_ID
+            _, states = encoder.encode_plain(ids)
+            hidden = ag.reshape(ag.slice_cols(states, pos, pos + 1), (1, states.shape[2]))
+            logits = ag.matmul(hidden, ag.permute(token_emb, (1, 0)))
+            loss = ag.softmax_cross_entropy(logits, [target])
+            opt.zero_grad()
+            ag.backward(loss)
+            opt.step()
+    finally:
+        for t in params:
+            t.requires_grad, t.grad = False, None
+        encoder._cls_cache.clear()

@@ -9,6 +9,7 @@ CLS pass, behind a flag).
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -39,7 +40,6 @@ class KeywordSet:
 
     words: list[str]
     scores: list[float]
-    alpha: float
     n: int = field(init=False)
 
     def __post_init__(self):
@@ -59,9 +59,13 @@ def compute_stats(documents: Iterable[str], source: str = "domain") -> CorpusSta
     return CorpusStats(dict(counts), total, source)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not -math.inf < alpha < 0:
+        raise ValueError(f"alpha must be negative and finite, got {alpha}")
+
+
 def score_word(word: str, general: CorpusStats, domain: CorpusStats, alpha: float) -> float:
-    if alpha >= 0:
-        raise ValueError(f"alpha must be negative, got {alpha}")
+    _check_alpha(alpha)
     return alpha * general.tf(word) + domain.tf(word)
 
 
@@ -69,8 +73,7 @@ def select_keywords(
     general: CorpusStats, domain: CorpusStats, alpha: float = -1.0, n: int = 10
 ) -> KeywordSet:
     """Top-n domain-corpus words by contrastive score, ties broken by word."""
-    if alpha >= 0:
-        raise ValueError(f"alpha must be negative, got {alpha}")
+    _check_alpha(alpha)
     if n < 0:
         raise ValueError(f"keyword count n must be >= 0, got {n}")
     vocab = list(domain.counts)
@@ -80,7 +83,7 @@ def select_keywords(
         ((score_word(w, general, domain, alpha), w) for w in vocab),
         key=lambda sw: (-sw[0], sw[1]),
     )[:n]
-    return KeywordSet(words=[w for _, w in scored], scores=[s for s, _ in scored], alpha=alpha)
+    return KeywordSet(words=[w for _, w in scored], scores=[s for s, _ in scored])
 
 
 def vectorize_keywords(
@@ -114,7 +117,7 @@ def write_keywords(path: str | Path, keywords: KeywordSet) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def read_keywords(path: str | Path, alpha: float = -1.0) -> KeywordSet:
+def read_keywords(path: str | Path) -> KeywordSet:
     """Read a keyword file; words that tokenize alike (`Alpha`, `alpha`) may not repeat."""
     words, scores = [], []
     first_line: dict[tuple[str, ...], int] = {}
@@ -135,4 +138,4 @@ def read_keywords(path: str | Path, alpha: float = -1.0) -> KeywordSet:
         except ValueError:
             raise ValueError(f"{path}:{lineno}: score {parts[1]!r} is not a number") from None
         words.append(parts[0])
-    return KeywordSet(words=words, scores=scores, alpha=alpha)
+    return KeywordSet(words=words, scores=scores)

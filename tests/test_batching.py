@@ -76,8 +76,8 @@ def test_batched_logits_equal_per_example_logits_without_grad(texts):
     model = make_model()
     with ag.no_grad():
         batched = model.logits(texts).data
-        model._repr_cache.clear()
-        single = np.vstack([model.logits([text]).data for text in texts])
+        fresh = make_model()  # same weights, empty gate cache
+        single = np.vstack([fresh.logits([text]).data for text in texts])
         reference = per_example_logits(model, texts).data
     np.testing.assert_allclose(batched, single, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(batched, reference, rtol=0.0, atol=1e-12)

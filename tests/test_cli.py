@@ -118,6 +118,17 @@ class TestExtractKeywords:
         assert len(err) == 1 and "keyword count n" in err[0], err
         assert not out.exists()
 
+    @pytest.mark.parametrize("alpha", ["-inf", "nan"])
+    def test_non_finite_alpha_is_a_one_line_error(self, workspace, tmp_path, capsys, alpha):
+        out = tmp_path / "keywords.tsv"
+        assert main([  # `--alpha -inf` would read as an option, so the value is joined with =
+            "extract-keywords", "--general", str(workspace / "data" / "general.txt"),
+            "--domain", str(workspace / "data" / "domain.txt"), f"--alpha={alpha}", "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"error: alpha must be negative and finite, got {alpha}"]
+        assert not out.exists()
+
 
 class TestSampleFewshot:
     def test_writes_split_files(self, workspace, tmp_path):
@@ -269,6 +280,15 @@ class TestUnknownInputs:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "config key grad_clip" in err[0], err
 
+    def test_infinite_config_value_is_one_line_naming_the_key(self, workspace, tmp_path, capsys):
+        cfg_path = tmp_path / "infinite_eps.cfg"
+        make_config_file(workspace, cfg_path)
+        with cfg_path.open("a", encoding="utf-8") as handle:
+            handle.write("\nadam_eps = Infinity\n")
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: config key adam_eps: must be finite, got inf"]
+
     def test_negative_seed_is_one_line_naming_the_key(self, workspace, tmp_path, capsys):
         cfg_path = tmp_path / "negative_seed.cfg"
         make_config_file(workspace, cfg_path)
@@ -383,6 +403,21 @@ class TestCorruptCheckpoint:
         path.write_bytes(CORRUPTIONS[kind](checkpoint_bytes))
         with pytest.raises(ValueError, match=f"{re.escape(str(path))}: .*{re.escape(tensor)}"):
             load_model(path)
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_non_finite_value_is_one_line_naming_the_tensor(self, workspace, checkpoint_bytes,
+                                                            tmp_path, capsys, value):
+        header, data = split_checkpoint(checkpoint_bytes)
+        start = header["tensors"]["head.weight"]["offset"] + 8  # the second value
+        path = tmp_path / "non-finite.bin"
+        path.write_bytes(join_checkpoint(
+            header, data[:start] + struct.pack("<d", value) + data[start + 8:]))
+        code = main(["evaluate", "--checkpoint", str(path),
+                     "--data", str(workspace / "data" / "dataset.tsv")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: tensor 'head.weight': holds a non-finite value"
+        ]
 
     def test_config_with_the_removed_backbone_knobs_is_one_line(self, workspace, checkpoint_bytes,
                                                                 tmp_path, capsys):

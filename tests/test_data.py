@@ -8,7 +8,6 @@ import pytest
 
 from switchprompt.data import (
     LabeledDataset,
-    bag_of_keywords_accuracy,
     generate_synthetic_domains,
     load_dataset,
     sample_fewshot,
@@ -16,6 +15,7 @@ from switchprompt.data import (
     write_split,
 )
 from switchprompt.keywords import compute_stats, score_word, select_keywords
+from switchprompt.tokenizer import tokenize
 
 
 def toy_dataset(per_class=10, classes=("red", "blue", "green")):
@@ -138,6 +138,23 @@ class TestSampleFewshot:
             assert load_dataset(tmp_path / f"{name}.tsv").examples == getattr(split, name).examples
         manifest = json.loads((tmp_path / "split.json").read_text(encoding="utf-8"))
         assert manifest["shots"] == 4 and manifest["seed"] == 5
+
+
+def bag_of_keywords_accuracy(task, dataset) -> float:
+    """Independent ceiling check: classify by counting planted class tokens."""
+    token_to_label = {
+        tok: label for label, tokens in task.planted_keywords.items() for tok in tokens
+    }
+    labels_in_order = list(dataset.label_map)
+    correct = 0
+    for text, label in dataset.examples:
+        votes = {lab: 0 for lab in labels_in_order}
+        for word in tokenize(text):
+            if word in token_to_label:
+                votes[token_to_label[word]] += 1
+        predicted = max(labels_in_order, key=lambda lab: votes[lab])
+        correct += predicted == label
+    return correct / len(dataset.examples)
 
 
 class TestSyntheticGenerator:

@@ -17,7 +17,6 @@ from switchprompt.encoder import (
     TransformerEncoder,
     pad_batch,
     pretrain_masked_token,
-    trainable_parameter_count,
     weight_shapes,
 )
 from switchprompt.gradcheck import check_gradients
@@ -32,8 +31,17 @@ def small_encoder(seed=0, **overrides):
     )
     params.update(overrides)
     cfg = EncoderConfig(**params)
-    weights = EncoderWeights.init(cfg, seed=seed, frozen=True)
+    weights = EncoderWeights.init(cfg, seed=seed)
     return TransformerEncoder(cfg, weights)
+
+
+def no_weight_takes_grad(weights):
+    return not any(t.requires_grad or t.grad is not None for t in weights.tensors.values())
+
+
+def trainable_count(*tensor_lists):
+    """Scalars with requires_grad set, over every tensor of every list."""
+    return sum(t.size for tensors in tensor_lists for t in tensors if t.requires_grad)
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +94,20 @@ class TestEncodePlain:
         a, _ = enc.encode_plain(ids)
         b, _ = enc.encode_plain(ids)
         np.testing.assert_array_equal(a.data, b.data)
+
+    def test_cached_cls_encodes_each_id_sequence_once(self, monkeypatch):
+        enc = small_encoder(seed=4)
+        encode, rows = enc.encode_plain, []
+        monkeypatch.setattr(enc, "encode_plain",
+                            lambda ids, **kw: rows.append(len(ids)) or encode(ids, **kw))
+        sequences = [[0, 4, 7], [0, 4, 7, 9], [0, 4, 7]]
+        cached = enc.cached_cls(*pad_batch(sequences))
+        for row, seq in zip(cached, sequences):
+            np.testing.assert_allclose(row, encode(seq)[0].data[0], rtol=0.0, atol=1e-12)
+        # a row is keyed by its ids without padding, whatever batch it arrives in
+        np.testing.assert_array_equal(enc.cached_cls(*pad_batch(sequences[1::-1])), cached[1::-1])
+        enc.cached_cls(*pad_batch([[0, 4, 7], [0, 9]]))
+        assert rows == [3, 1]
 
     def test_token_permutation_changes_output(self):
         enc = small_encoder()
@@ -168,7 +190,7 @@ class TestEncodePrompted:
 
     def test_prompt_gradients_nonzero_and_flow_when_frozen(self):
         enc = small_encoder(seed=13)
-        assert enc.weights.frozen
+        assert no_weight_takes_grad(enc.weights)
         rng = np.random.default_rng(14)
         prompts = [Tensor(rng.standard_normal((2, 8)), requires_grad=True) for _ in range(2)]
         cls_vec = enc.encode_prompted([0, 5, 8, 1], prompts)
@@ -330,7 +352,7 @@ class TestClassificationHead:
     def test_head_trainable_even_with_frozen_backbone(self):
         enc = small_encoder()
         head = ClassificationHead.init(8, 3, 0.1, np.random.default_rng(22))
-        assert enc.weights.frozen
+        assert no_weight_takes_grad(enc.weights)
         assert all(p.requires_grad for p in head.parameters())
 
 
@@ -339,30 +361,20 @@ class TestTrainableParameterCount:
         # embed 32, 2 layers, 8 trainable prompt vectors per layer, 3 classes:
         # 2*8*32 + 2*32 + 32*3 + 3 = 675 (fixed keyword vectors contribute 0)
         cfg = EncoderConfig(vocab_size=50, embed_dim=32, num_layers=2, num_heads=2, ffn_dim=64)
-        weights = EncoderWeights.init(cfg, seed=0, frozen=True)
+        weights = EncoderWeights.init(cfg, seed=0)
         rng = np.random.default_rng(23)
         state = init_prompt_state("switchprompt", 2, 32, soft_len=8,
                                   keyword_vectors=rng.standard_normal((10, 32)), rng=rng)
         head = ClassificationHead.init(32, 3, 0.1, rng)
-        assert trainable_parameter_count(weights, head, state) == 675
-
-    def test_unfrozen_count_strictly_larger(self):
-        cfg = EncoderConfig(vocab_size=50, embed_dim=32, num_layers=2, num_heads=2, ffn_dim=64)
-        weights = EncoderWeights.init(cfg, seed=0, frozen=True)
-        rng = np.random.default_rng(24)
-        state = init_prompt_state("switchprompt", 2, 32, soft_len=8,
-                                  keyword_vectors=rng.standard_normal((10, 32)), rng=rng)
-        head = ClassificationHead.init(32, 3, 0.1, rng)
-        frozen_count = trainable_parameter_count(weights, head, state)
-        weights.set_frozen(False)
-        assert trainable_parameter_count(weights, head, state) > frozen_count
+        count = trainable_count(weights.tensors.values(), head.parameters(), state.parameters())
+        assert count == 675
 
     def test_keywords_only_counts_just_the_head(self):
         rng = np.random.default_rng(25)
         state = init_prompt_state("keywords-only", 2, 32, soft_len=8,
                                   keyword_vectors=rng.standard_normal((10, 32)), rng=rng)
         head = ClassificationHead.init(32, 3, 0.1, rng)
-        assert trainable_parameter_count(None, head, state) == 32 * 3 + 3
+        assert trainable_count(head.parameters(), state.parameters()) == 32 * 3 + 3
 
     def test_trainable_keywords_add_their_size(self):
         rng = np.random.default_rng(26)
@@ -372,8 +384,8 @@ class TestTrainableParameterCount:
                                     keyword_vectors=rng.standard_normal((5, 16)), rng=rng,
                                     train_keywords=True)
         head = ClassificationHead.init(16, 2, 0.1, rng)
-        delta = trainable_parameter_count(None, head, trained) - trainable_parameter_count(
-            None, head, fixed
+        delta = trainable_count(head.parameters(), trained.parameters()) - trainable_count(
+            head.parameters(), fixed.parameters()
         )
         assert delta == 5 * 16
 
@@ -385,7 +397,7 @@ class TestNamedArrays:
         assert {name: t.shape for name, t in enc.weights.tensors.items()} == shapes
         assert list(enc.weights.tensors) == list(shapes)
         loaded = EncoderWeights.from_arrays(enc.config, {**enc.weights.named_arrays(), "x": 0})
-        assert loaded.checksum() == enc.weights.checksum() and loaded.frozen
+        assert loaded.checksum() == enc.weights.checksum() and no_weight_takes_grad(loaded)
 
     def test_weights_name_a_missing_or_misshaped_tensor(self):
         enc = small_encoder()
@@ -448,5 +460,26 @@ class TestMaskedTokenWarmup:
         sequences = [[0, 4, 5, 6], [0, 7, 8], [0, 9, 10, 11, 3]]
         pretrain_masked_token(enc, sequences, steps=20, seed=0)
         assert enc.weights.checksum() != before
-        assert enc.weights.frozen
-        assert enc.weights.parameters() == []
+        assert no_weight_takes_grad(enc.weights)
+
+    def test_empties_the_cls_cache(self):
+        enc = small_encoder(seed=31)
+        ids, lengths = pad_batch([[0, 4, 5, 6], [0, 7, 8]])
+        stale = enc.cached_cls(ids, lengths)
+        pretrain_masked_token(enc, [[0, 4, 5, 6], [0, 9, 10, 11, 3]], steps=20, seed=0)
+        fresh = enc.encode_plain(ids, lengths)[0].data
+        assert not np.array_equal(stale, fresh)
+        np.testing.assert_array_equal(enc.cached_cls(ids, lengths), fresh)
+        assert no_weight_takes_grad(enc.weights)
+
+    def test_a_failed_warmup_still_refreezes_and_empties_the_cache(self, monkeypatch):
+        enc = small_encoder(seed=32)
+        enc.cached_cls(*pad_batch([[0, 4, 5]]))
+
+        def interrupted(ids):
+            raise RuntimeError("interrupted")
+
+        monkeypatch.setattr(enc, "encode_plain", interrupted)
+        with pytest.raises(RuntimeError, match="interrupted"):
+            pretrain_masked_token(enc, [[0, 4, 5, 6]], steps=3, seed=0)
+        assert no_weight_takes_grad(enc.weights) and not enc._cls_cache

@@ -1,5 +1,6 @@
 """Keyword mining against exhaustive brute-force scoring."""
 
+import math
 from collections import Counter
 
 import numpy as np
@@ -117,6 +118,14 @@ class TestScoreWord:
         with pytest.raises(ValueError, match="alpha"):
             score_word("w", self.general, self.domain, alpha=0.0)
 
+    @pytest.mark.parametrize("alpha", [0.0, -math.inf, math.nan])
+    def test_alpha_must_be_negative_and_finite(self, alpha):
+        # -inf would score a word absent from the general corpus -inf * 0 = NaN
+        with pytest.raises(ValueError, match="alpha must be negative and finite"):
+            score_word("term", self.general, self.domain, alpha=alpha)
+        with pytest.raises(ValueError, match="alpha must be negative and finite"):
+            select_keywords(self.general, self.domain, alpha=alpha, n=1)
+
 
 class TestSelectKeywords:
     def test_domain_exclusive_word_wins(self):
@@ -227,7 +236,7 @@ class TestVectorizeKeywords:
         tok, enc = self.make_encoder_and_tokenizer()
         from switchprompt.keywords import KeywordSet
 
-        ks = KeywordSet(words=["beta"], scores=[1.0], alpha=-1.0)
+        ks = KeywordSet(words=["beta"], scores=[1.0])
         vectors = vectorize_keywords(ks, tok, enc)
         row = enc.weights["token_emb"].data[tok.word_to_id["beta"]]
         np.testing.assert_array_equal(vectors.data[0], row)
@@ -236,15 +245,15 @@ class TestVectorizeKeywords:
         tok, enc = self.make_encoder_and_tokenizer()
         from switchprompt.keywords import KeywordSet
 
-        fwd = vectorize_keywords(KeywordSet(["alpha", "zeta"], [2.0, 1.0], -1.0), tok, enc)
-        rev = vectorize_keywords(KeywordSet(["zeta", "alpha"], [2.0, 1.0], -1.0), tok, enc)
+        fwd = vectorize_keywords(KeywordSet(["alpha", "zeta"], [2.0, 1.0]), tok, enc)
+        rev = vectorize_keywords(KeywordSet(["zeta", "alpha"], [2.0, 1.0]), tok, enc)
         np.testing.assert_array_equal(fwd.data, rev.data[::-1])
 
     def test_multi_token_keyword_is_mean_of_embeddings(self):
         tok, enc = self.make_encoder_and_tokenizer()
         from switchprompt.keywords import KeywordSet
 
-        ks = KeywordSet(words=["beta gamma"], scores=[1.0], alpha=-1.0)
+        ks = KeywordSet(words=["beta gamma"], scores=[1.0])
         vectors = vectorize_keywords(ks, tok, enc)
         table = enc.weights["token_emb"].data
         manual = (table[tok.word_to_id["beta"]] + table[tok.word_to_id["gamma"]]) / 2.0
@@ -255,14 +264,14 @@ class TestVectorizeKeywords:
         from switchprompt.keywords import KeywordSet
         from switchprompt.tokenizer import UNK_ID
 
-        vectors = vectorize_keywords(KeywordSet(["nonexistent"], [1.0], -1.0), tok, enc)
+        vectors = vectorize_keywords(KeywordSet(["nonexistent"], [1.0]), tok, enc)
         np.testing.assert_array_equal(vectors.data[0], enc.weights["token_emb"].data[UNK_ID])
 
     def test_cls_mode_runs_full_pass(self):
         tok, enc = self.make_encoder_and_tokenizer()
         from switchprompt.keywords import KeywordSet
 
-        ks = KeywordSet(["beta"], [1.0], -1.0)
+        ks = KeywordSet(["beta"], [1.0])
         emb = vectorize_keywords(ks, tok, enc, method="embedding")
         cls = vectorize_keywords(ks, tok, enc, method="cls")
         assert not np.allclose(emb.data, cls.data)
@@ -272,7 +281,7 @@ class TestVectorizeKeywords:
         tok, enc = self.make_encoder_and_tokenizer()
         from switchprompt.keywords import KeywordSet
 
-        vectors = vectorize_keywords(KeywordSet(["beta"], [1.0], -1.0), tok, enc)
+        vectors = vectorize_keywords(KeywordSet(["beta"], [1.0]), tok, enc)
         assert not vectors.requires_grad
 
 
@@ -283,7 +292,7 @@ class TestKeywordFileIO:
         ks = select_keywords(general, domain, alpha=-1.5, n=3)
         path = tmp_path / "keywords.tsv"
         write_keywords(path, ks)
-        loaded = read_keywords(path, alpha=-1.5)
+        loaded = read_keywords(path)
         assert loaded.words == ks.words
         assert loaded.scores == ks.scores
 
@@ -291,7 +300,7 @@ class TestKeywordFileIO:
         from switchprompt.keywords import KeywordSet
 
         path = tmp_path / "keywords.tsv"
-        write_keywords(path, KeywordSet(["apple", "pear"], [0.5, 0.25], -1.0))
+        write_keywords(path, KeywordSet(["apple", "pear"], [0.5, 0.25]))
         lines = path.read_text().splitlines()
         assert lines[0].split("\t") == ["apple", "0.5", "1"]
         assert lines[1].split("\t") == ["pear", "0.25", "2"]

@@ -1,6 +1,8 @@
 """Training loop, evaluation, ablation and metrics contracts."""
 
+import dataclasses
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from switchprompt import autograd as ag
 from switchprompt import runner
 from switchprompt.data import LabeledDataset
-from switchprompt.encoder import ClassificationHead
+from switchprompt.encoder import ClassificationHead, TransformerEncoder, pad_batch
 from switchprompt.keywords import KeywordSet
 from switchprompt.optim import Adam
 from switchprompt.runner import (
@@ -86,7 +88,7 @@ class TestTrain:
         assert result.best_epochs == [0]
 
     def test_keyword_count_mismatch_rejected(self, tiny_config, tiny_split):
-        wrong = KeywordSet(words=["gen000", "gen001"], scores=[0.2, 0.1], alpha=-1.0)
+        wrong = KeywordSet(words=["gen000", "gen001"], scores=[0.2, 0.1])
         with pytest.raises(ValueError, match="keyword count mismatch"):
             train(tiny_config, tiny_split, wrong)
 
@@ -95,7 +97,6 @@ class TestTrain:
         other = KeywordSet(
             words=list(reversed(tiny_keywords.words)),
             scores=list(reversed(tiny_keywords.scores)),
-            alpha=-1.0,
         )
         cfg = replace(tiny_config, variant="soft-only", epochs=2)
         a = train(cfg, tiny_split, tiny_keywords, tmp_path / "a")
@@ -228,6 +229,40 @@ class TestBackboneBuilds:
         assert len(warmups) == 1
 
 
+class TestGateCache:
+    """The backbone caches each id sequence's gate CLS once, for every seed and variant."""
+
+    def test_two_seed_six_variant_ablate_encodes_each_text_once(self, tiny_config, tiny_split,
+                                                                tiny_keywords, monkeypatch):
+        encode, rows = TransformerEncoder.encode_plain, []
+        monkeypatch.setattr(TransformerEncoder, "encode_plain",
+                            lambda self, ids, **kw: rows.append(len(ids)) or encode(self, ids, **kw))
+        cfg = replace(tiny_config, epochs=1, seeds=[0, 1], soft_prompt_len=6)
+        assert len(ablate(cfg, tiny_split, tiny_keywords)) == 6
+        texts = tiny_split.train.texts() + tiny_split.dev.texts() + tiny_split.test.texts()
+        assert sum(rows) == len(set(texts)) == 72
+
+    def test_one_text_truncated_to_two_budgets_gets_two_rows(self, tiny_config, tiny_split,
+                                                             tiny_keywords):
+        cfg = replace(tiny_config, max_seq_len=20, soft_prompt_len=6)  # text budgets 8 and 14
+        tokenizer, encoder = _build_backbone(cfg, tiny_split, tiny_keywords)
+        keyword_vectors = np.random.default_rng(0).standard_normal((6, cfg.embed_dim))
+        text = " ".join(tiny_split.train.texts()[:3])
+        rows = []
+        for variant in ("switchprompt", "mix-no-concat"):  # prompts of m + n and of m slots
+            state = init_prompt_state(variant, cfg.num_layers, cfg.embed_dim, soft_len=6,
+                                      keyword_vectors=keyword_vectors, rng=np.random.default_rng(1))
+            head = ClassificationHead.init(cfg.embed_dim, 2, 0.0, np.random.default_rng(2))
+            model = PromptedClassifier(encoder, head, state, tokenizer, ["a", "b"])
+            ids = model._ids(text)
+            assert len(ids) == model.text_budget < len(tokenizer.encode(text))
+            with ag.no_grad():
+                model.logits([text])
+            rows.append(model.sentence_repr(*pad_batch([ids])).data)
+            np.testing.assert_array_equal(rows[-1], encoder.encode_plain(ids)[0].data)
+        assert not np.array_equal(*rows)
+
+
 class TestFrozenBackbone:
     """Prompts and head train; the backbone built for the command never moves."""
 
@@ -245,7 +280,7 @@ class TestFrozenBackbone:
         _, fresh = _build_backbone(cfg, tiny_split, tiny_keywords)
         train(cfg, tiny_split, tiny_keywords)
         [(_, encoder)] = built
-        assert encoder.weights.frozen
+        assert not any(t.requires_grad for t in encoder.weights.tensors.values())
         assert encoder.weights.checksum() == fresh.weights.checksum()
 
     def test_each_seed_adam_holds_only_prompt_and_head_tensors(self, tiny_config, tiny_split,
@@ -380,6 +415,13 @@ class TestConfigParsing:
     ])
     def test_bad_value_rejected_naming_the_key(self, key, value):
         with pytest.raises(ValueError, match=f"config key {key}"):
+            RunConfig(**{key: value})
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(RunConfig)
+                                     if type(f.default) is float])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 10**400])
+    def test_float_key_must_be_finite(self, key, value):
+        with pytest.raises(ValueError, match=f"config key {key}: must be finite"):
             RunConfig(**{key: value})
 
     def test_prompt_length_limit_follows_the_variant(self):
