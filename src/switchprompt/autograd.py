@@ -381,52 +381,13 @@ class DropoutRng:
         self.calls = 0
 
     def mask(self, shape: tuple[int, ...], rate: float) -> np.ndarray:
-        self.calls += 1
-        return self._draw(self.calls - 1, shape, rate)
-
-    def _draw(self, call: int, shape: tuple[int, ...], rate: float) -> np.ndarray:
         keep = 1.0 - rate
-        rng = np.random.default_rng((self.seed, self.step, call))
+        rng = np.random.default_rng((self.seed, self.step, self.calls))
+        self.calls += 1
         return (rng.random(shape) < keep).astype(np.float64) / keep
 
-    def per_example(self, lengths: Sequence[int], sites: int) -> "ExampleStreams":
-        """Reserve `sites` calls for each example of a padded (B, T, ...) batch.
 
-        Example b's mask at its s-th dropout site is the call
-        ``first + b * sites + s`` of this stream, drawn at its unpadded shape
-        ``(lengths[b], ...)``. So a batch draws exactly the masks that B
-        one-example passes in a row would, and calls made after it (the
-        classification head's) keep their counters.
-        """
-        first = self.calls
-        self.calls += len(lengths) * sites
-        return ExampleStreams(self, first, lengths, sites)
-
-
-class ExampleStreams:
-    """Dropout masks for a padded batch, one counter-keyed stream per example."""
-
-    def __init__(self, parent: DropoutRng, first: int, lengths: Sequence[int], sites: int):
-        self.parent = parent
-        self.first = first
-        self.lengths = [int(n) for n in lengths]
-        self.sites = sites
-        self.site = 0
-
-    def mask(self, shape: tuple[int, ...], rate: float) -> np.ndarray:
-        if self.site >= self.sites:
-            raise RuntimeError(f"more than the {self.sites} reserved dropout sites were used")
-        out = np.zeros(shape)
-        for b, n in enumerate(self.lengths):
-            call = self.first + b * self.sites + self.site
-            out[b, :n] = self.parent._draw(call, (n,) + tuple(shape[2:]), rate)
-        self.site += 1
-        return out
-
-
-def dropout(
-    x: Tensor, rate: float, rng: "DropoutRng | ExampleStreams | None" = None, train: bool = False
-) -> Tensor:
+def dropout(x: Tensor, rate: float, rng: DropoutRng | None = None, train: bool = False) -> Tensor:
     """Inverted-scaling dropout; the identity (same object) in eval mode."""
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")

@@ -28,11 +28,19 @@ from .runner import (
 )
 
 CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
+# argparse reads a value such as -inf or -1e3 as an option, so main joins each
+# such value to its float flag (`--alpha -inf` -> `--alpha=-inf`) before parsing
+FLOAT_FLAGS = {"--alpha", "--lr", "--filler-prob"}
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    joined: list[str] = []
+    for arg in sys.argv[1:] if argv is None else argv:
+        if joined and joined[-1] in FLOAT_FLAGS and arg.startswith("-"):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    args = build_parser().parse_args(joined)
     try:
         return args.handler(args)
     except (ValueError, OSError, RuntimeError) as exc:

@@ -20,16 +20,17 @@ reference oracle in the tests), with H heads of width d = e / H:
     q, k, v split into heads by reshape: (B, H, T, d) and (B, H, l+T, d)
     probs = softmax_rows(q kᵀ + mask)   (B, H, T, l+T)
     attn = merge_heads(probs v) Wo + bo (B, T, e)
-    h = layer_norm(h + dropout(attn))
+    h = layer_norm(h + attn)
     f = act(h W1 + b1) W2 + b2
-    h = layer_norm(h + dropout(f))
+    h = layer_norm(h + f)
 
-with h0 = dropout(token_emb[ids] + pos_emb[:T]) and a final layer norm after
-the last block. The key-padding mask has shape (B, 1, 1, l+T): 0 on the l
-prompt slots and the first lengths[b] token slots of example b, -inf on its
-padding, so a padded row attends exactly as the unpadded sequence would.
-Rows past an example's length carry finite values that no real row reads.
-The CLS vector is token row 0 of the final states.
+with h0 = token_emb[ids] + pos_emb[:T] and a final layer norm after the last
+block. The backbone has no dropout, so training and evaluation run the same
+pass. The key-padding mask has shape (B, 1, 1, l+T): 0 on the l prompt
+slots and the first lengths[b] token slots of example b, -inf on its padding,
+so a padded row attends exactly as the unpadded sequence would. Rows past an
+example's length carry finite values that no real row reads. The CLS vector
+is token row 0 of the final states.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import autograd as ag
-from .autograd import DropoutRng, ExampleStreams, Tensor
+from .autograd import DropoutRng, Tensor
 from .checkpoint import check_shapes
 from .optim import Adam
 from .tokenizer import CLS_ID, MASK_ID
@@ -58,7 +59,6 @@ class EncoderConfig:
     num_heads: int = 2
     ffn_dim: int = 64
     max_seq_len: int = 128
-    dropout_rate: float = 0.1
     activation: str = "gelu"  # or "relu"
     # weight scale of the randomly initialized stand-in backbone; large enough
     # that attention varies with the input (a pretrained model would not need this)
@@ -161,13 +161,13 @@ class TransformerEncoder:
     def encode_plain(
         self, token_ids: Sequence[int] | np.ndarray, lengths: Sequence[int] | None = None
     ) -> tuple[Tensor, Tensor]:
-        """Eval-mode pass without prompts; returns (B, e) CLS vectors and (B, T, e) states.
+        """Pass without prompts; returns (B, e) CLS vectors and (B, T, e) states.
 
         Ids are a (B, T) array with per-example `lengths` (default: all T); a
         1-D id list is read as one row.
         """
         ids, lengths = self._check_ids(token_ids, lengths, 0)
-        states = self._forward(ids, lengths, None, False, None)
+        states = self._forward(ids, lengths, None)
         return self._cls(states), states
 
     def cached_cls(self, ids: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -185,8 +185,6 @@ class TransformerEncoder:
         self,
         token_ids: Sequence[int] | np.ndarray,
         layer_prompts: Sequence[Tensor],
-        train: bool = False,
-        rng: DropoutRng | None = None,
         lengths: Sequence[int] | None = None,
     ) -> Tensor:
         """Forward pass with one key/value prompt per layer; returns (B, e) CLS vectors.
@@ -215,7 +213,7 @@ class TransformerEncoder:
                 # broadcast a shared prompt over the batch; its gradient sums back
                 p = ag.mul(p, Tensor(np.ones((batch, 1, 1))))
             prompts.append(p)
-        return self._cls(self._forward(ids, lengths, prompts, train, rng))
+        return self._cls(self._forward(ids, lengths, prompts))
 
     # -- internals -----------------------------------------------------------
 
@@ -251,12 +249,7 @@ class TransformerEncoder:
         return ag.reshape(ag.slice_cols(states, 0, 1), (states.shape[0], self.config.embed_dim))
 
     def _forward(
-        self,
-        ids: np.ndarray,
-        lengths: np.ndarray,
-        layer_prompts: list[Tensor] | None,
-        train: bool,
-        rng: DropoutRng | None,
+        self, ids: np.ndarray, lengths: np.ndarray, layer_prompts: list[Tensor] | None
     ) -> Tensor:
         cfg, w = self.config, self.weights
         width = ids.shape[1]
@@ -265,25 +258,15 @@ class TransformerEncoder:
         if lengths.min() < width:
             slots = np.arange(prompt_len + width) < prompt_len + lengths[:, None]
             mask = np.where(slots, 0.0, -np.inf)[:, None, None, :]
-        if train and cfg.dropout_rate > 0.0 and rng is not None:
-            # the embedding site plus two per layer, keyed per example
-            rng = rng.per_example(lengths, 1 + 2 * cfg.num_layers)
 
         h = ag.add(ag.embedding(w["token_emb"], ids), ag.slice_rows(w["pos_emb"], 0, width))
-        h = ag.dropout(h, cfg.dropout_rate, rng, train)
         for i in range(cfg.num_layers):
             prompt = layer_prompts[i] if layer_prompts else None
-            h = self._layer(i, h, prompt, mask, train, rng)
+            h = self._layer(i, h, prompt, mask)
         return ag.layer_norm(h, w["final_ln.gain"], w["final_ln.bias"])
 
     def _layer(
-        self,
-        index: int,
-        h: Tensor,
-        prompt: Tensor | None,
-        mask: np.ndarray | None,
-        train: bool,
-        rng: "DropoutRng | ExampleStreams | None",
+        self, index: int, h: Tensor, prompt: Tensor | None, mask: np.ndarray | None
     ) -> Tensor:
         cfg, w = self.config, self.weights
         p = f"layer{index}."
@@ -303,13 +286,11 @@ class TransformerEncoder:
         probs = ag.softmax_rows(scores, mask)
         attn = ag.permute(ag.matmul(probs, split_heads(v)), (0, 2, 1, 3))
         attn = ag.add(ag.matmul(ag.reshape(attn, (batch, width, e)), w[p + "wo"]), w[p + "bo"])
-        attn = ag.dropout(attn, cfg.dropout_rate, rng, train)
         h = ag.layer_norm(ag.add(h, attn), w[p + "ln1_gain"], w[p + "ln1_bias"])
 
         act = ag.gelu if cfg.activation == "gelu" else ag.relu
         f = act(ag.add(ag.matmul(h, w[p + "w1"]), w[p + "b1"]))
         f = ag.add(ag.matmul(f, w[p + "w2"]), w[p + "b2"])
-        f = ag.dropout(f, cfg.dropout_rate, rng, train)
         return ag.layer_norm(ag.add(h, f), w[p + "ln2_gain"], w[p + "ln2_bias"])
 
 

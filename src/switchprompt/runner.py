@@ -26,7 +26,7 @@ import dataclasses
 import json
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +59,6 @@ class RunConfig:
     num_heads: int = 2
     ffn_dim: int = 64
     max_seq_len: int = 128
-    encoder_dropout: float = 0.1
     activation: str = "gelu"
     vocab_cap: int = 2000
     # prompts
@@ -94,8 +93,16 @@ class RunConfig:
     keywords_file: str = ""
     out_dir: str = ""
     save_checkpoints: bool = True
+    # not a config key: the benchmark's run_config (perfbench/workloads.py) passes
+    # encoder_dropout=0.0, the only reason this argument exists; it goes with that line
+    encoder_dropout: InitVar[float] = 0.0
 
-    def __post_init__(self):
+    def __post_init__(self, encoder_dropout):
+        if encoder_dropout != 0.0:
+            raise ValueError(
+                f"config key encoder_dropout: removed (the encoder has no dropout), "
+                f"got {encoder_dropout!r}"
+            )
         for key, kinds in _CONFIG_TYPES.items():
             value = getattr(self, key)
             if not isinstance(value, kinds) or (type(value) is bool) != (bool in kinds):
@@ -141,7 +148,6 @@ class RunConfig:
             ("backbone_init_std", self.backbone_init_std >= 0, ">= 0"),
             ("split_seed", self.split_seed >= 0, ">= 0"),
             ("mlm_lr", self.mlm_lr > 0, "> 0"),
-            ("encoder_dropout", 0 <= self.encoder_dropout < 1, "in [0, 1)"),
             ("head_dropout", 0 <= self.head_dropout < 1, "in [0, 1)"),
         ):
             if not ok:
@@ -161,7 +167,6 @@ class RunConfig:
             num_heads=self.num_heads,
             ffn_dim=self.ffn_dim,
             max_seq_len=self.max_seq_len,
-            dropout_rate=self.encoder_dropout,
             activation=self.activation,
             init_std=self.backbone_init_std,
         )
@@ -237,8 +242,8 @@ EVAL_TOKEN_BUDGET = 1024
 class PromptedClassifier:
     """A trained (or training) bundle: frozen backbone, prompts, head.
 
-    The gates read the CLS vector of a plain eval-mode pass, which the
-    backbone caches per id sequence. Every pass covers the whole batch.
+    The gates read the CLS vector of a plain pass, which the backbone caches
+    per id sequence. Every pass covers the whole batch.
     """
 
     def __init__(
@@ -271,14 +276,14 @@ class PromptedClassifier:
         return Tensor(self.encoder.cached_cls(ids, lengths))
 
     def logits(self, texts: list[str], train: bool = False, rng: DropoutRng | None = None) -> Tensor:
-        """(B, classes) logits from one batched prompted pass, in the given order."""
+        """(B, classes) logits from one batched prompted pass; train mode reaches only the head."""
         if not texts:
             raise ValueError("cannot classify an empty batch of texts")
         ids, lengths = pad_batch([self._ids(text) for text in texts])
         prompts = per_layer_prompts(
             self.prompt_state, self.sentence_repr(ids, lengths), self.encoder.config.num_layers
         )
-        cls = self.encoder.encode_prompted(ids, prompts, train=train, rng=rng, lengths=lengths)
+        cls = self.encoder.encode_prompted(ids, prompts, lengths=lengths)
         return self.head(cls, train=train, rng=rng)
 
     def label_indices(self, dataset: LabeledDataset) -> list[int]:

@@ -41,7 +41,7 @@ def ordering_config(**overrides) -> RunConfig:
     params = dict(
         embed_dim=32, num_layers=2, num_heads=2, ffn_dim=64,
         soft_prompt_len=8, num_keywords=8,
-        batch_size=32, epochs=50, lr=0.02, encoder_dropout=0.0, head_dropout=0.1,
+        batch_size=32, epochs=50, lr=0.02, head_dropout=0.1,
         seeds=[0, 1, 2, 3, 4], backbone_init="mlm",
     )
     params.update(overrides)
@@ -87,7 +87,7 @@ def test_criterion_2_frozen_backbone_contract():
         drop.begin_step(step)
         idx = step % len(sequences)
         prompts = per_layer_prompts(state, s_inputs[idx], 2)
-        cls_vec = encoder.encode_prompted(sequences[idx], prompts, train=True, rng=drop)
+        cls_vec = encoder.encode_prompted(sequences[idx], prompts)
         logits = head(ag.reshape(cls_vec, (1, 16)), train=True, rng=drop)
         loss = ag.softmax_cross_entropy(logits, [step % 3])
         opt.zero_grad()

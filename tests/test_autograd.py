@@ -329,20 +329,6 @@ class TestBatchedOps:
         ag.backward(ag.sum_all(out))
         np.testing.assert_array_equal(table.grad[:, 0], [1, 1, 0, 2, 0])
 
-    def test_per_example_dropout_streams_equal_single_example_calls(self):
-        lengths, sites, shape = [3, 1, 2], 2, (3, 3, 4)
-        batched, single = DropoutRng(4), DropoutRng(4)
-        batched.begin_step(6)
-        single.begin_step(6)
-        streams = batched.per_example(lengths, sites)
-        masks = [streams.mask(shape, 0.3) for _ in range(sites)]
-        for b, n in enumerate(lengths):
-            for site in range(sites):
-                np.testing.assert_array_equal(masks[site][b, :n], single.mask((n, 4), 0.3))
-        assert batched.calls == single.calls == len(lengths) * sites
-        with pytest.raises(RuntimeError, match="reserved"):
-            streams.mask(shape, 0.3)
-
 
 class TestDropout:
     def test_eval_mode_is_identity_object(self):

@@ -1,11 +1,12 @@
 """Batched classification equals the one-example-at-a-time path.
 
 The reference below is the per-example path: one B = 1 no-grad plain pass
-for the gates and one B = 1 prompted encoder pass per text, drawing dropout in text order from the
-shared stream, then one head call on the stacked CLS vectors. A batched
-``PromptedClassifier.logits`` must match it on random ragged batches, in
-values and in gradients, and the length-bucketed ``evaluate`` must match
-one-text-at-a-time scoring.
+for the gates and one B = 1 prompted encoder pass per text, then one head
+call on the stacked CLS vectors. A batched ``PromptedClassifier.logits``
+must match it on random ragged batches, in values and in gradients, and the
+length-bucketed ``evaluate`` must match one-text-at-a-time scoring. The
+backbone has no dropout, so a train-mode pass differs from an eval-mode one
+only by the head's single ``(B, e)`` mask.
 """
 
 import numpy as np
@@ -32,11 +33,11 @@ texts_strategy = st.lists(
 )
 
 
-def make_model(encoder_dropout: float = 0.1, head_dropout: float = 0.1):
+def make_model(head_dropout: float = 0.1):
     tokenizer = Tokenizer(WORDS)
     cfg = EncoderConfig(
         vocab_size=tokenizer.vocab_size, embed_dim=EMBED, num_layers=2, num_heads=2, ffn_dim=16,
-        max_seq_len=24, dropout_rate=encoder_dropout,
+        max_seq_len=24,
     )
     encoder = TransformerEncoder(cfg, EncoderWeights.init(cfg, seed=3))
     rng = np.random.default_rng(4)
@@ -58,7 +59,7 @@ def per_example_logits(model, texts, train=False, rng=None):
         with ag.no_grad():
             s = Tensor(model.encoder.encode_plain(ids)[0].data)
         prompts = per_layer_prompts(state, s, layers)
-        cls = model.encoder.encode_prompted(ids, prompts, train=train, rng=rng)
+        cls = model.encoder.encode_prompted(ids, prompts)
         rows.append(ag.reshape(cls, (1, EMBED)))
     return model.head(ag.concat(rows, axis=0), train=train, rng=rng)
 
@@ -86,7 +87,7 @@ def test_batched_logits_equal_per_example_logits_without_grad(texts):
 @settings(max_examples=25, deadline=None)
 @given(texts=texts_strategy, step=st.integers(0, 1000))
 def test_batched_train_logits_and_gradients_equal_per_example_path(texts, step):
-    # encoder dropout 0.1 and head dropout 0.1: every mask must line up
+    # head dropout 0.1: the head's mask must line up
     model = make_model()
     labels = [i % len(LABELS) for i in range(len(texts))]
 
@@ -106,17 +107,26 @@ def test_batched_train_logits_and_gradients_equal_per_example_path(texts, step):
 
 @settings(max_examples=25, deadline=None)
 @given(texts=texts_strategy, step=st.integers(0, 1000))
-def test_batch_equals_stacked_single_calls_in_train_mode(texts, step):
-    # without head dropout, B one-text calls on one stream draw exactly the
-    # encoder masks of one B-text call
-    model = make_model(encoder_dropout=0.1, head_dropout=0.0)
-    batched_rng, single_rng = DropoutRng(9), DropoutRng(9)
-    batched_rng.begin_step(step)
-    single_rng.begin_step(step)
-    batched = model.logits(texts, train=True, rng=batched_rng).data
-    single = np.vstack([model.logits([t], train=True, rng=single_rng).data for t in texts])
-    np.testing.assert_allclose(batched, single, rtol=0.0, atol=1e-12)
-    assert batched_rng.calls == single_rng.calls
+def test_train_mode_without_head_dropout_equals_the_no_grad_pass(texts, step):
+    model = make_model(head_dropout=0.0)
+    drop = DropoutRng(9)
+    drop.begin_step(step)
+    trained = model.logits(texts, train=True, rng=drop).data
+    with ag.no_grad():
+        plain = model.logits(texts).data
+    np.testing.assert_allclose(trained, plain, rtol=0.0, atol=1e-12)
+    assert drop.calls == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(texts=texts_strategy, step=st.integers(0, 1000))
+def test_a_train_step_draws_only_the_heads_mask(texts, step):
+    # one (B, e) mask, whatever the batch size and the text lengths
+    model = make_model(head_dropout=0.1)
+    drop = DropoutRng(9)
+    drop.begin_step(step)
+    model.logits(texts, train=True, rng=drop)
+    assert drop.calls == 1
 
 
 @settings(max_examples=25, deadline=None)

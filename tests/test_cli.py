@@ -52,6 +52,11 @@ def run_flags(workspace):
     ] + BASE_FLAGS
 
 
+def float_flag(flag, value, form):
+    """`--alpha=-inf`, or `--alpha -inf`, which argparse alone reads as two options."""
+    return [f"{flag}={value}"] if form == "joined" else [flag, value]
+
+
 def make_config_file(workspace, path):
     data_dir = workspace / "data"
     path.write_text(
@@ -92,6 +97,7 @@ class TestGenSynthetic:
         ("--keywords-per-class", "0", "keywords_per_class"),
         ("--filler-vocab", "0", "filler_vocab"),
         ("--seed", "-1", "seed"),
+        ("--filler-prob", "-inf", "filler_prob"),  # a value argparse alone reads as an option
     ])
     def test_bad_count_is_one_line_and_writes_nothing(self, tmp_path, capsys, flag, value, name):
         out = tmp_path / "task"
@@ -118,12 +124,14 @@ class TestExtractKeywords:
         assert len(err) == 1 and "keyword count n" in err[0], err
         assert not out.exists()
 
+    @pytest.mark.parametrize("form", ["joined", "spaced"])
     @pytest.mark.parametrize("alpha", ["-inf", "nan"])
-    def test_non_finite_alpha_is_a_one_line_error(self, workspace, tmp_path, capsys, alpha):
+    def test_non_finite_alpha_is_a_one_line_error(self, workspace, tmp_path, capsys, alpha, form):
         out = tmp_path / "keywords.tsv"
-        assert main([  # `--alpha -inf` would read as an option, so the value is joined with =
+        assert main([
             "extract-keywords", "--general", str(workspace / "data" / "general.txt"),
-            "--domain", str(workspace / "data" / "domain.txt"), f"--alpha={alpha}", "--out", str(out),
+            "--domain", str(workspace / "data" / "domain.txt"), *float_flag("--alpha", alpha, form),
+            "--out", str(out),
         ]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == [f"error: alpha must be negative and finite, got {alpha}"]
@@ -200,6 +208,22 @@ class TestTrainCli:
             main(["train"] + run_flags(workspace) + [flag])
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["train", "ablate"])
+    @pytest.mark.parametrize("form", ["joined", "spaced"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--alpha", "-inf", "config key alpha: must be finite, got -inf"),
+        ("--alpha", "nan", "config key alpha: must be finite, got nan"),
+        ("--lr", "-1e-3", "config key lr: must be > 0, got -0.001"),
+    ])
+    def test_bad_float_flag_is_a_one_line_error(self, workspace, tmp_path, capsys, command,
+                                                form, flag, value, message):
+        out = tmp_path / "run"
+        # the corpus flags are real files, so only the float flag can fail
+        flags = run_flags(workspace) + float_flag(flag, value, form) + ["--out", str(out)]
+        assert main([command] + flags) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
 
     def test_missing_dataset_is_reported(self, capsys):
         assert main(["train", "--epochs", "1"]) == 1
@@ -288,6 +312,15 @@ class TestUnknownInputs:
         assert main(["train", "--config", str(cfg_path)]) == 1
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: config key adam_eps: must be finite, got inf"]
+
+    def test_removed_encoder_dropout_key_is_one_line(self, workspace, tmp_path, capsys):
+        cfg_path = tmp_path / "encoder_dropout.cfg"
+        make_config_file(workspace, cfg_path)
+        with cfg_path.open("a", encoding="utf-8") as handle:
+            handle.write("\nencoder_dropout = 0.1\n")
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: unknown config keys: ['encoder_dropout']"]
 
     def test_negative_seed_is_one_line_naming_the_key(self, workspace, tmp_path, capsys):
         cfg_path = tmp_path / "negative_seed.cfg"
@@ -430,6 +463,20 @@ class TestCorruptCheckpoint:
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: {path}: unknown config keys: ['freeze_backbone', 'gate_input']"
+        ]
+
+    def test_config_with_the_removed_encoder_dropout_is_one_line(self, workspace,
+                                                                 checkpoint_bytes, tmp_path,
+                                                                 capsys):
+        # checkpoints written while the backbone had a dropout rate
+        path = tmp_path / "old-dropout.bin"
+        path.write_bytes(edit_header(lambda h: h["meta"]["config"].update(
+            encoder_dropout=0.0))(checkpoint_bytes))
+        code = main(["evaluate", "--checkpoint", str(path),
+                     "--data", str(workspace / "data" / "dataset.tsv")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: unknown config keys: ['encoder_dropout']"
         ]
 
 

@@ -27,7 +27,6 @@ from switchprompt.prompts import init_prompt_state, per_layer_prompts
 def small_encoder(seed=0, **overrides):
     params = dict(
         vocab_size=12, embed_dim=8, num_layers=2, num_heads=2, ffn_dim=16, max_seq_len=32,
-        dropout_rate=0.1,
     )
     params.update(overrides)
     cfg = EncoderConfig(**params)
@@ -232,7 +231,7 @@ class TestEncodePrompted:
         for step in range(12):
             drop.begin_step(step)
             prompts = per_layer_prompts(state, s_input, 2)
-            cls_vec = enc.encode_prompted([0, 4, 6], prompts, train=True, rng=drop)
+            cls_vec = enc.encode_prompted([0, 4, 6], prompts)
             loss = ag.softmax_cross_entropy(head(cls_vec, train=True, rng=drop), [step % 3])
             opt.zero_grad()
             ag.backward(loss)

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -369,8 +370,7 @@ class TestConfigParsing:
         ("batch_size", 0),
         ("lr", 0.0),
         ("lr", -1e-3),
-        ("encoder_dropout", 1.0),
-        ("encoder_dropout", -0.1),
+        ("encoder_dropout", 0.1),
         ("head_dropout", 1.0),
         ("head_dropout", -0.5),
         ("max_seq_len", 18),  # the default switchprompt prompt is m + n = 18 slots
@@ -424,6 +424,18 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=f"config key {key}: must be finite"):
             RunConfig(**{key: value})
 
+    def test_encoder_dropout_is_gone(self):
+        with pytest.raises(ValueError) as info:
+            RunConfig(encoder_dropout=0.1)
+        assert str(info.value) == (
+            "config key encoder_dropout: removed (the encoder has no dropout), got 0.1"
+        )
+        config = RunConfig(encoder_dropout=0.0)  # the benchmark's call still builds
+        assert config == RunConfig() and "encoder_dropout" not in config.to_dict()
+        assert len(dataclasses.fields(RunConfig)) == 36
+        with pytest.raises(ValueError, match=re.escape("unknown config keys: ['encoder_dropout']")):
+            RunConfig.from_dict({"encoder_dropout": 0.0})
+
     def test_prompt_length_limit_follows_the_variant(self):
         RunConfig(variant="soft-only", max_seq_len=9)  # m = 8 slots leave room for CLS
         with pytest.raises(ValueError, match="max_seq_len"):
@@ -460,7 +472,7 @@ class TestConfigParsing:
 
     EVERY_KEY_CHANGED = dict(
         variant="concat-kv", embed_dim=16, num_layers=3, num_heads=4, ffn_dim=48,
-        max_seq_len=96, encoder_dropout=0.2, activation="relu", vocab_cap=500,
+        max_seq_len=96, activation="relu", vocab_cap=500,
         soft_prompt_len=4, num_keywords=5, alpha=-0.5, train_keywords=True,
         keyword_vector_mode="cls", batch_size=8, head_dropout=0.0,
         epochs=12, lr=0.02, lr_gamma=0.9, adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-6,
