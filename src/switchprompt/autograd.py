@@ -258,6 +258,8 @@ def sigmoid(x: Tensor) -> Tensor:
     return _record(out, (x,), lambda g: (g * out * (1.0 - out),))
 
 
+# no model runs relu: the benchmark swaps it in for gelu to test its oracle
+# (perfbench/test_perfbench.py:138); it and its gradcheck trial go with that line
 def relu(x: Tensor) -> Tensor:
     data = np.maximum(x.data, 0.0)
     return _record(data, (x,), lambda g: (g * (x.data > 0),))

@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", dest="num_keywords", type=int, help="number of keywords")
         p.add_argument("--epochs", type=int)
         p.add_argument("--lr", type=float)
-        p.add_argument("--backbone-init", choices=("random", "mlm"))
+        p.add_argument("--mlm-steps", type=int, help="masked-token warm-up steps (0: random backbone)")
         p.add_argument("--out", dest="out_dir", help="output directory (overrides config)")
         p.set_defaults(handler=cmd_train if name == "train" else cmd_ablate)
 

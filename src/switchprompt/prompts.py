@@ -129,8 +129,8 @@ class PromptState:
     """Trainable prompt parameters for one variant, by the names of ``prompt_shapes``.
 
     ``soft_prompts`` holds one (m, e) matrix per encoder layer; the keyword
-    matrix (n, e) is shared across layers and stays fixed unless
-    ``train_keywords`` was requested. A tensor exists only for the variants
+    matrix (n, e) is shared across layers and fixed: its rows are keyword
+    vectors and never take gradient. A tensor exists only for the variants
     whose table row uses it; the others are None.
     """
 
@@ -153,7 +153,7 @@ class PromptState:
 
     @classmethod
     def from_arrays(cls, variant: "str | Variant", arrays: dict[str, np.ndarray], num_layers: int,
-                    m: int, n: int, e: int, train_keywords: bool = False) -> "PromptState":
+                    m: int, n: int, e: int) -> "PromptState":
         """Inverse of ``named_arrays``; names every tensor that `arrays` lacks or holds misshaped."""
         variant = Variant.parse(variant)
         shapes = prompt_shapes(variant, num_layers, m, n, e)
@@ -161,21 +161,13 @@ class PromptState:
         if missing:
             raise ValueError(f"variant {variant.value} needs prompt tensors {', '.join(missing)}")
         check_shapes(arrays, shapes)
-        return cls(variant, {
-            name: Tensor(arrays[name], requires_grad=name != "prompt.keywords" or train_keywords)
-            for name in shapes
-        })
+        return cls(variant, {name: Tensor(arrays[name], requires_grad=name != "prompt.keywords")
+                             for name in shapes})
 
 
-def init_prompt_state(
-    variant: "str | Variant",
-    num_layers: int,
-    embed_dim: int,
-    soft_len: int,
-    keyword_vectors: np.ndarray | Tensor | None,
-    rng: np.random.Generator,
-    train_keywords: bool = False,
-) -> PromptState:
+def init_prompt_state(variant: "str | Variant", num_layers: int, embed_dim: int, soft_len: int,
+                      keyword_vectors: np.ndarray | Tensor | None,
+                      rng: np.random.Generator) -> PromptState:
     """Fresh prompt parameters (normal, std 0.02) for the given variant, drawn in table order."""
     variant = Variant.parse(variant)
     if variant.uses("V") and soft_len < 1:
@@ -190,7 +182,7 @@ def init_prompt_state(
         name: kw if name == "prompt.keywords" else rng.normal(0.0, INIT_STD, size=shape)
         for name, shape in prompt_shapes(variant, num_layers, soft_len, n, embed_dim).items()
     }
-    return PromptState.from_arrays(variant, arrays, num_layers, soft_len, n, embed_dim, train_keywords)
+    return PromptState.from_arrays(variant, arrays, num_layers, soft_len, n, embed_dim)
 
 
 def gate(weights: Tensor, sentence_repr: Tensor) -> Tensor:

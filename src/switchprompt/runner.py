@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 import time
 from dataclasses import InitVar, dataclass, field, replace
@@ -42,12 +43,16 @@ from .encoder import (
     TransformerEncoder,
     pad_batch,
     pretrain_masked_token,
+    weight_shapes,
 )
 from .keywords import KeywordSet, vectorize_keywords
 from .optim import Adam, clip_global_norm
 # compose_with_gates is not called here; the benchmark's tracer patches it on runner by name
 from .prompts import PromptState, Variant, compose_with_gates, init_prompt_state, per_layer_prompts
 from .tokenizer import Tokenizer, tokenize
+
+
+MAX_BACKBONE_WEIGHTS = 2**27  # the most a config may ask for: 1 GiB of float64
 
 
 @dataclass
@@ -59,13 +64,11 @@ class RunConfig:
     num_heads: int = 2
     ffn_dim: int = 64
     max_seq_len: int = 128
-    activation: str = "gelu"
     vocab_cap: int = 2000
     # prompts
     soft_prompt_len: int = 8
     num_keywords: int = 10
     alpha: float = -1.0
-    train_keywords: bool = False
     keyword_vector_mode: str = "embedding"  # embedding | cls
     # optimization
     batch_size: int = 32
@@ -79,10 +82,9 @@ class RunConfig:
     grad_clip: float = 1.0
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2, 3, 4])
     # backbone
-    backbone_init: str = "random"  # random | mlm
     backbone_seed: int = 1234
     backbone_init_std: float = 0.3
-    mlm_steps: int = 300
+    mlm_steps: int = 0  # masked-token warm-up steps; 0 keeps the random backbone
     mlm_lr: float = 1e-3
     # data and io
     shots: int = 4
@@ -93,16 +95,18 @@ class RunConfig:
     keywords_file: str = ""
     out_dir: str = ""
     save_checkpoints: bool = True
-    # not a config key: the benchmark's run_config (perfbench/workloads.py) passes
-    # encoder_dropout=0.0, the only reason this argument exists; it goes with that line
+    # not config keys: the benchmark's run_config passes both (perfbench/workloads.py:188
+    # and :196), the only reason these arguments exist; each goes with its line
     encoder_dropout: InitVar[float] = 0.0
+    backbone_init: InitVar[str] = "mlm"
 
-    def __post_init__(self, encoder_dropout):
-        if encoder_dropout != 0.0:
-            raise ValueError(
-                f"config key encoder_dropout: removed (the encoder has no dropout), "
-                f"got {encoder_dropout!r}"
-            )
+    def __post_init__(self, encoder_dropout, backbone_init):
+        for key, value, kept, why in (
+            ("encoder_dropout", encoder_dropout, 0.0, "the encoder has no dropout"),
+            ("backbone_init", backbone_init, "mlm", "mlm_steps = 0 keeps the random backbone"),
+        ):
+            if value != kept:
+                raise ValueError(f"config key {key}: removed ({why}), got {value!r}")
         for key, kinds in _CONFIG_TYPES.items():
             value = getattr(self, key)
             if not isinstance(value, kinds) or (type(value) is bool) != (bool in kinds):
@@ -123,7 +127,6 @@ class RunConfig:
              f"a divisor of embed_dim {self.embed_dim}"),
             ("ffn_dim", self.ffn_dim >= 1, ">= 1"),
             ("vocab_cap", self.vocab_cap >= 4, ">= 4 (three reserved ids and a word)"),
-            ("activation", self.activation in ("gelu", "relu"), "gelu or relu"),
             ("soft_prompt_len", self.soft_prompt_len >= 0, ">= 0"),
             ("soft_prompt_len", self.soft_prompt_len >= 1 or not variant.uses("V"),
              f">= 1 for variant {variant.value}"),
@@ -133,7 +136,6 @@ class RunConfig:
             ("alpha", self.alpha < 0, "< 0"),
             ("shots", self.shots >= 1, ">= 1"),
             ("epochs", self.epochs >= 0, ">= 0"),
-            ("backbone_init", self.backbone_init in ("random", "mlm"), "random or mlm"),
             ("keyword_vector_mode", self.keyword_vector_mode in ("embedding", "cls"),
              "embedding or cls"),
             ("batch_size", self.batch_size >= 1, ">= 1"),
@@ -158,6 +160,13 @@ class RunConfig:
                 f"config key max_seq_len: {self.max_seq_len} leaves no room for text after "
                 f"the {prompt_len} prompt slots of variant {variant.value}"
             )
+        # one layer's shapes counted num_layers times: listing every layer could fill memory
+        shapes = weight_shapes(replace(self.encoder_config(self.vocab_cap), num_layers=1))
+        weights = sum(math.prod(shape) * (self.num_layers if name.startswith("layer") else 1)
+                      for name, shape in shapes.items())
+        if weights > MAX_BACKBONE_WEIGHTS:
+            raise ValueError(f"config keys vocab_cap, max_seq_len, embed_dim, ffn_dim, num_layers: "
+                             f"{weights} backbone weights exceed {MAX_BACKBONE_WEIGHTS}")
 
     def encoder_config(self, vocab_size: int) -> EncoderConfig:
         return EncoderConfig(
@@ -167,7 +176,6 @@ class RunConfig:
             num_heads=self.num_heads,
             ffn_dim=self.ffn_dim,
             max_seq_len=self.max_seq_len,
-            activation=self.activation,
             init_std=self.backbone_init_std,
         )
 
@@ -344,7 +352,7 @@ def _build_backbone(config: RunConfig, split: FewShotSplit, keyword_set: Keyword
     enc_cfg = config.encoder_config(tokenizer.vocab_size)
     weights = EncoderWeights.init(enc_cfg, seed=config.backbone_seed)
     encoder = TransformerEncoder(enc_cfg, weights)
-    if config.backbone_init == "mlm":
+    if config.mlm_steps > 0:
         sequences = [tokenizer.encode(t)[: config.max_seq_len] for t in texts]
         pretrain_masked_token(
             encoder, sequences, steps=config.mlm_steps, seed=config.backbone_seed, lr=config.mlm_lr
@@ -410,10 +418,8 @@ def _train_seeds(config, split, keyword_set, backbone, out_dir) -> RunResult:
     seed_results: list[dict] = []
     for seed in config.seeds:
         rng = np.random.default_rng((seed, 11))  # the prompts, then the head
-        state = init_prompt_state(
-            config.variant, config.num_layers, config.embed_dim, config.soft_prompt_len,
-            kw_vectors, rng, config.train_keywords,
-        )
+        state = init_prompt_state(config.variant, config.num_layers, config.embed_dim,
+                                  config.soft_prompt_len, kw_vectors, rng)
         head = ClassificationHead.init(config.embed_dim, len(label_names), config.head_dropout, rng)
         model = PromptedClassifier(built, head, state, tokenizer, label_names)
         seed_results.append(_train_one_seed(config, split, model, seed, records))
@@ -545,10 +551,9 @@ def load_model(path: str | Path) -> PromptedClassifier:
         head = ClassificationHead.from_arrays(
             tensors, config.embed_dim, len(meta["labels"]), config.head_dropout
         )
-        state = PromptState.from_arrays(
-            meta["variant"], tensors, config.num_layers, config.soft_prompt_len,
-            config.num_keywords, config.embed_dim, config.train_keywords,
-        )
+        state = PromptState.from_arrays(meta["variant"], tensors, config.num_layers,
+                                        config.soft_prompt_len, config.num_keywords,
+                                        config.embed_dim)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
     encoder = TransformerEncoder(enc_cfg, weights)

@@ -42,7 +42,7 @@ def ordering_config(**overrides) -> RunConfig:
         embed_dim=32, num_layers=2, num_heads=2, ffn_dim=64,
         soft_prompt_len=8, num_keywords=8,
         batch_size=32, epochs=50, lr=0.02, head_dropout=0.1,
-        seeds=[0, 1, 2, 3, 4], backbone_init="mlm",
+        seeds=[0, 1, 2, 3, 4], mlm_steps=300,
     )
     params.update(overrides)
     return RunConfig(**params)
@@ -303,7 +303,7 @@ def test_criterion_7_separable_ceiling():
 
 def test_criterion_8_parameter_economy(ordering_task):
     _, split, keyword_set = ordering_task
-    config = ordering_config(backbone_init="random")
+    config = ordering_config(mlm_steps=0)
     from switchprompt.keywords import vectorize_keywords
     from switchprompt.runner import _build_backbone
 

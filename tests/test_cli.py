@@ -313,14 +313,29 @@ class TestUnknownInputs:
         err = capsys.readouterr().err.splitlines()
         assert err == ["error: config key adam_eps: must be finite, got inf"]
 
-    def test_removed_encoder_dropout_key_is_one_line(self, workspace, tmp_path, capsys):
-        cfg_path = tmp_path / "encoder_dropout.cfg"
+    @pytest.mark.parametrize("line", ["encoder_dropout = 0.1", 'activation = "relu"',
+                                      "train_keywords = true", 'backbone_init = "mlm"'])
+    def test_removed_key_is_one_line(self, workspace, tmp_path, capsys, line):
+        cfg_path = tmp_path / "removed.cfg"
         make_config_file(workspace, cfg_path)
         with cfg_path.open("a", encoding="utf-8") as handle:
-            handle.write("\nencoder_dropout = 0.1\n")
+            handle.write(f"\n{line}\n")
         assert main(["train", "--config", str(cfg_path)]) == 1
+        key = line.split(" =")[0]
+        assert capsys.readouterr().err.splitlines() == [f"error: unknown config keys: ['{key}']"]
+
+    @pytest.mark.parametrize("line", ["max_seq_len = 1099511627776", "embed_dim = 1099511627776"])
+    def test_oversized_backbone_is_one_line_and_writes_nothing(self, workspace, tmp_path, capsys,
+                                                               line):
+        cfg_path = tmp_path / "huge.cfg"
+        make_config_file(workspace, cfg_path)
+        with cfg_path.open("a", encoding="utf-8") as handle:
+            handle.write(f"\n{line}\n")  # 2**40: counted, never allocated
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
         err = capsys.readouterr().err.splitlines()
-        assert err == ["error: unknown config keys: ['encoder_dropout']"]
+        assert len(err) == 1 and err[0].startswith("error: config keys vocab_cap, max_seq_len"), err
+        assert "backbone weights exceed" in err[0] and not out.exists()
 
     def test_negative_seed_is_one_line_naming_the_key(self, workspace, tmp_path, capsys):
         cfg_path = tmp_path / "negative_seed.cfg"
@@ -343,7 +358,7 @@ class TestOneBackbone:
     def test_train_reproduces_the_ablate_row(self, workspace, tmp_path):
         flags = run_flags(workspace)
         flags[flags.index("--m") + 1] = "6"  # mix-no-concat needs m == n
-        flags += ["--epochs", "1", "--backbone-init", "mlm"]
+        flags += ["--epochs", "1", "--mlm-steps", "300"]
         assert main(["ablate"] + flags + ["--out", str(tmp_path / "ablate")]) == 0
         row = (tmp_path / "ablate" / "soft-only" / "metrics.jsonl").read_bytes()
         mined = flags[: flags.index("--keywords")] + flags[flags.index("--keywords") + 2 :]
@@ -477,6 +492,19 @@ class TestCorruptCheckpoint:
         assert code == 1
         assert capsys.readouterr().err.splitlines() == [
             f"error: {path}: unknown config keys: ['encoder_dropout']"
+        ]
+
+    def test_config_with_the_removed_choice_keys_is_one_line(self, workspace, checkpoint_bytes,
+                                                             tmp_path, capsys):
+        # checkpoints written while activation, train_keywords and backbone_init were keys
+        path = tmp_path / "old-choices.bin"
+        path.write_bytes(edit_header(lambda h: h["meta"]["config"].update(
+            activation="gelu", train_keywords=False, backbone_init="mlm"))(checkpoint_bytes))
+        code = main(["evaluate", "--checkpoint", str(path),
+                     "--data", str(workspace / "data" / "dataset.tsv")])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: unknown config keys: ['activation', 'backbone_init', 'train_keywords']"
         ]
 
 

@@ -21,11 +21,10 @@ from switchprompt.prompts import (
 EMBED = 6
 
 
-def make_state(variant, rng=None, layers=2, m=2, n=3, train_keywords=False):
+def make_state(variant, rng=None, layers=2, m=2, n=3):
     rng = rng or np.random.default_rng(0)
     kw = rng.standard_normal((n, EMBED))
-    return init_prompt_state(variant, layers, EMBED, soft_len=m, keyword_vectors=kw,
-                             rng=rng, train_keywords=train_keywords)
+    return init_prompt_state(variant, layers, EMBED, soft_len=m, keyword_vectors=kw, rng=rng)
 
 
 def gates(state, sentence_repr):
@@ -266,17 +265,7 @@ class TestGradientRouting:
         assert state.gate1_weights.grad is not None
         assert np.abs(state.gate1_weights.grad).max() > 0
         assert state.gate2_weights.grad is not None
-        assert state.keyword_vectors.grad is None  # fixed by default
-
-    def test_trainable_keywords_receive_gradient_when_enabled(self):
-        rng = np.random.default_rng(16)
-        state = make_state("switchprompt", rng=rng, train_keywords=True)
-        s = Tensor(rng.standard_normal((1, EMBED)))
-        loss = ag.sum_all(ag.mul(compose(state, s, 0),
-                                 Tensor(rng.standard_normal((state.prompt_len, EMBED)))))
-        ag.backward(loss)
-        assert state.keyword_vectors.grad is not None
-        assert np.abs(state.keyword_vectors.grad).max() > 0
+        assert state.keyword_vectors.grad is None  # keyword rows are fixed
 
 
 class TestPerLayerPrompts:
@@ -335,19 +324,17 @@ def any_shape(variant):
     return (3 if variant is Variant.MIX_NO_CONCAT else 2), 3
 
 
-def any_state(variant, train_keywords=False):
+def any_state(variant):
     m, n = any_shape(variant)
-    return make_state(variant, m=m, n=n, train_keywords=train_keywords)
+    return make_state(variant, m=m, n=n)
 
 
 class TestVariantTable:
-    @pytest.mark.parametrize("train_keywords", [False, True])
     @pytest.mark.parametrize("variant", list(Variant))
-    def test_from_arrays_inverts_named_arrays(self, variant, train_keywords):
-        state = any_state(variant, train_keywords)
+    def test_from_arrays_inverts_named_arrays(self, variant):
+        state = any_state(variant)
         arrays = state.named_arrays()
-        back = PromptState.from_arrays(variant, arrays, 2, *any_shape(variant), EMBED,
-                                       train_keywords=train_keywords)
+        back = PromptState.from_arrays(variant, arrays, 2, *any_shape(variant), EMBED)
         assert list(back.named_arrays()) == list(arrays)
         for name, array in back.named_arrays().items():
             np.testing.assert_array_equal(array, arrays[name])
@@ -390,5 +377,7 @@ class TestVariantTable:
             "prompt.layer0.soft": (4, EMBED), "prompt.layer1.soft": (4, EMBED),
             "prompt.keywords": (5, EMBED), "prompt.gate1": (EMBED,), "prompt.gate2": (EMBED,),
         }
-        state = make_state(Variant.SWITCHPROMPT, m=4, n=5, train_keywords=True)
-        assert [t.shape for t in state.parameters()] == list(shapes.values())
+        state = make_state(Variant.SWITCHPROMPT, m=4, n=5)
+        assert [t.shape for t in state.parameters()] == [
+            shape for name, shape in shapes.items() if name != "prompt.keywords"
+        ]

@@ -5,6 +5,7 @@ import json
 import math
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,13 @@ import pytest
 from switchprompt import autograd as ag
 from switchprompt import runner
 from switchprompt.data import LabeledDataset
-from switchprompt.encoder import ClassificationHead, TransformerEncoder, pad_batch
+from switchprompt.encoder import (
+    ClassificationHead,
+    EncoderWeights,
+    TransformerEncoder,
+    pad_batch,
+    weight_shapes,
+)
 from switchprompt.keywords import KeywordSet
 from switchprompt.optim import Adam
 from switchprompt.runner import (
@@ -225,9 +232,17 @@ class TestBackboneBuilds:
 
     def test_six_variant_ablate_warms_up_once(self, tiny_config, tiny_split, tiny_keywords,
                                               warmups):
-        cfg = replace(tiny_config, epochs=1, soft_prompt_len=6, backbone_init="mlm", mlm_steps=5)
+        cfg = replace(tiny_config, epochs=1, soft_prompt_len=6, mlm_steps=5)
         assert len(ablate(cfg, tiny_split, tiny_keywords)) == 6
         assert len(warmups) == 1
+
+    def test_zero_steps_keep_the_random_backbone_without_a_warmup(self, tiny_config, tiny_split,
+                                                                  tiny_keywords, warmups):
+        assert tiny_config.mlm_steps == 0
+        _, encoder = _build_backbone(tiny_config, tiny_split, tiny_keywords)
+        assert warmups == []
+        fresh = EncoderWeights.init(encoder.config, seed=tiny_config.backbone_seed)
+        assert encoder.weights.checksum() == fresh.checksum()
 
 
 class TestGateCache:
@@ -277,7 +292,7 @@ class TestFrozenBackbone:
 
     def test_two_seed_train_leaves_the_built_backbone_unchanged(self, tiny_config, tiny_split,
                                                                 tiny_keywords, built):
-        cfg = replace(tiny_config, seeds=[0, 1], backbone_init="mlm", mlm_steps=5)
+        cfg = replace(tiny_config, seeds=[0, 1], mlm_steps=5)
         _, fresh = _build_backbone(cfg, tiny_split, tiny_keywords)
         train(cfg, tiny_split, tiny_keywords)
         [(_, encoder)] = built
@@ -310,14 +325,6 @@ class TestFrozenBackbone:
 
 
 class TestConfigKnobs:
-    def test_trainable_keywords_increase_parameter_count(self, tiny_config, tiny_split,
-                                                         tiny_keywords):
-        fixed = train(replace(tiny_config, epochs=0), tiny_split, tiny_keywords)
-        trained = train(replace(tiny_config, epochs=0, train_keywords=True),
-                        tiny_split, tiny_keywords)
-        e = tiny_config.embed_dim
-        assert trained.trainable_params - fixed.trainable_params == tiny_keywords.n * e
-
     def test_cls_keyword_vectorization_changes_the_run(self, tiny_config, tiny_split,
                                                        tiny_keywords, tmp_path):
         a = train(replace(tiny_config, variant="keywords-only"), tiny_split, tiny_keywords,
@@ -384,7 +391,6 @@ class TestConfigParsing:
         ("num_layers", 0),
         ("num_heads", 0),
         ("num_heads", 3),  # does not divide the default embed_dim 32
-        ("activation", "tanh"),
         ("soft_prompt_len", 0),
         ("num_keywords", 0),
         ("shots", 0),
@@ -424,17 +430,36 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=f"config key {key}: must be finite"):
             RunConfig(**{key: value})
 
-    def test_encoder_dropout_is_gone(self):
+    @pytest.mark.parametrize("key, kept, other, why", [
+        ("encoder_dropout", 0.0, 0.1, "the encoder has no dropout"),
+        ("backbone_init", "mlm", "random", "mlm_steps = 0 keeps the random backbone"),
+    ], ids=["encoder_dropout", "backbone_init"])
+    def test_removed_key_is_a_constructor_argument_only(self, key, kept, other, why):
         with pytest.raises(ValueError) as info:
-            RunConfig(encoder_dropout=0.1)
-        assert str(info.value) == (
-            "config key encoder_dropout: removed (the encoder has no dropout), got 0.1"
-        )
-        config = RunConfig(encoder_dropout=0.0)  # the benchmark's call still builds
-        assert config == RunConfig() and "encoder_dropout" not in config.to_dict()
-        assert len(dataclasses.fields(RunConfig)) == 36
-        with pytest.raises(ValueError, match=re.escape("unknown config keys: ['encoder_dropout']")):
-            RunConfig.from_dict({"encoder_dropout": 0.0})
+            RunConfig(**{key: other})
+        assert str(info.value) == f"config key {key}: removed ({why}), got {other!r}"
+        config = RunConfig(**{key: kept})  # the benchmark's call still builds
+        assert config == RunConfig() and key not in config.to_dict()
+        assert len(dataclasses.fields(RunConfig)) == 33
+        with pytest.raises(ValueError, match=re.escape(f"unknown config keys: ['{key}']")):
+            RunConfig.from_dict({key: kept})
+
+    @pytest.mark.parametrize("key", ["max_seq_len", "embed_dim", "ffn_dim", "num_layers", "vocab_cap"])
+    def test_backbone_size_is_bounded(self, key):
+        with pytest.raises(ValueError) as info:
+            RunConfig(**{key: 2**40})  # counted, never allocated
+        assert str(info.value).startswith(
+            "config keys vocab_cap, max_seq_len, embed_dim, ffn_dim, num_layers: "
+        ) and str(info.value).endswith(f"backbone weights exceed {runner.MAX_BACKBONE_WEIGHTS}")
+
+    def test_backbone_bound_counts_every_weight(self, monkeypatch):
+        sizes = dict(embed_dim=8, num_layers=3, ffn_dim=12, max_seq_len=30)
+        encoder_config = RunConfig(vocab_cap=50, **sizes).encoder_config(50)
+        count = sum(math.prod(shape) for shape in weight_shapes(encoder_config).values())
+        monkeypatch.setattr(runner, "MAX_BACKBONE_WEIGHTS", count)
+        RunConfig(vocab_cap=50, **sizes)
+        with pytest.raises(ValueError, match=f"{count + 8} backbone weights exceed {count}"):
+            RunConfig(vocab_cap=51, **sizes)  # one more token_emb row of 8
 
     def test_prompt_length_limit_follows_the_variant(self):
         RunConfig(variant="soft-only", max_seq_len=9)  # m = 8 slots leave room for CLS
@@ -472,11 +497,11 @@ class TestConfigParsing:
 
     EVERY_KEY_CHANGED = dict(
         variant="concat-kv", embed_dim=16, num_layers=3, num_heads=4, ffn_dim=48,
-        max_seq_len=96, activation="relu", vocab_cap=500,
-        soft_prompt_len=4, num_keywords=5, alpha=-0.5, train_keywords=True,
+        max_seq_len=96, vocab_cap=500,
+        soft_prompt_len=4, num_keywords=5, alpha=-0.5,
         keyword_vector_mode="cls", batch_size=8, head_dropout=0.0,
         epochs=12, lr=0.02, lr_gamma=0.9, adam_beta1=0.8, adam_beta2=0.99, adam_eps=1e-6,
-        grad_clip=0.5, seeds=[3, 1], backbone_init="mlm",
+        grad_clip=0.5, seeds=[3, 1],
         backbone_seed=7, backbone_init_std=0.25, mlm_steps=50, mlm_lr=2e-3, shots=8,
         split_seed=4, general_corpus="corpora/general.txt", domain_corpus="corpora/domain.txt",
         dataset="data/tasks.tsv", keywords_file="kw.tsv", out_dir="runs/#2",
@@ -490,6 +515,13 @@ class TestConfigParsing:
         path = tmp_path / "run.cfg"
         path.write_text(text, encoding="utf-8")
         assert RunConfig.from_dict(parse_config_text(path.read_text(encoding="utf-8"))) == config
+
+    def test_readme_table_lists_every_key_once(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        section = readme.split("## Configuration reference", 1)[1].split("\n## ", 1)[0]
+        first_cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+        keys = [key for cell in first_cells for key in re.findall(r"`(\w+)`", cell)]
+        assert sorted(keys) == sorted(f.name for f in dataclasses.fields(RunConfig))
 
     def test_every_key_changed_covers_every_key(self):
         defaults = RunConfig().to_dict()
